@@ -482,11 +482,70 @@ def enumerate_subspaces(field: Field, dim: int, max_count: int = 500_000):
 # simplicity
 
 
-def simplicity_witness(A: FDAlgebra, point_budget: int = SIMPLICITY_POINT_BUDGET):
-    """None when A is simple; else a vector generating a proper nonzero ideal.
+def is_field(A: FDAlgebra) -> bool:
+    """Is the algebra a field?  Berlekamp's Frobenius test over GF(p).
 
-    Checks that every projective direction generates everything, which is
-    sound and complete over a finite base field.
+    A commutative unital algebra over GF(p) is a product of local rings,
+    and z -> z^p is GF(p)-linear on it.  Frobenius is injective exactly
+    when there are no nonzero nilpotents, so that the local factors are
+    fields; its fixed points form a copy of GF(p) in each local factor.
+    Hence A is a field iff Frobenius is injective and fixes a
+    one-dimensional subspace.  Non-unital or non-commutative algebras
+    are not fields.  Over the rationals only the one-dimensional unital
+    case is decided; anything else raises rather than guessing.
+    """
+    if A.unit is None or A.dim == 0:
+        return False
+    if not A.is_commutative():
+        return False
+    f = A.field
+    if not f.is_finite:
+        if A.dim == 1:
+            return True  # unital 1-dim algebra over a field is the field
+        raise CapExceeded("field test over the rationals is only decided in dim 1")
+    basis = [A.basis_vector(i) for i in range(A.dim)]
+    frob = []
+    for b in basis:
+        z = b
+        for _ in range(f.order - 1):
+            z = A.mul(z, b)
+        frob.append(z)
+    if linalg.rank(f, frob) < A.dim:
+        return False
+    moved = [linalg.vec_sub(f, fb, b) for fb, b in zip(frob, basis)]
+    return linalg.rank(f, moved) == A.dim - 1
+
+
+def _bimodule_rank(A: FDAlgebra, stop_at: int | None = None) -> int:
+    """Dimension of the span of the operators x -> b_i x b_j.
+
+    Counting stops once stop_at is reached.
+    """
+    f = A.field
+    L = A.left_basis_mats()
+    R = A.right_basis_mats()
+    span = IncrementalSpan(f, A.dim * A.dim)
+    for Li in L:
+        for Rj in R:
+            op = linalg.mat_mul(f, Rj, Li)
+            span.add([a for row in op for a in row])
+            if span.dim == stop_at:
+                return span.dim
+    return span.dim
+
+
+def is_simple(A: FDAlgebra) -> bool:
+    """Is the unital algebra A simple?  Decided by a density certificate.
+
+    Let n = dim A, Z the centre of A with k = dim Z, and E the span of
+    the operators x -> b_i x b_j.  A is simple exactly when (i) Z is a
+    field (is_field) and (ii) dim E = n^2/k.  Proof sketch: E always lies
+    in End_Z(A), which has dimension k (n/k)^2 = n^2/k when Z is a field.
+    If A is simple, Z is a field by Schur's lemma (bimodule endomorphisms
+    of A are multiplications by central elements) and the Jacobson
+    density theorem gives E = End_Z(A).  Conversely, a two-sided ideal is
+    an E-invariant subspace, and when E = End_Z(A) with Z a field the only
+    such subspaces are 0 and A.  Both tests are polynomial in n.
     """
     if A.unit is None:
         raise AlgebraError("simplicity test needs a unital algebra")
@@ -494,17 +553,44 @@ def simplicity_witness(A: FDAlgebra, point_budget: int = SIMPLICITY_POINT_BUDGET
         raise AlgebraError("the zero algebra is not simple")
     if not A.field.is_finite:
         raise CapExceeded("simplicity test needs a finite base field")
+    Z = subalgebra_on(A, centralizer(A, Subspace.full(A.field, A.dim)))
+    if not is_field(Z):
+        return False
+    target = A.dim * A.dim // Z.dim
+    return _bimodule_rank(A, target) == target
+
+
+def simplicity_witness(A: FDAlgebra, point_budget: int = SIMPLICITY_POINT_BUDGET):
+    """None when A is simple; else a vector generating a proper nonzero ideal.
+
+    Simplicity is decided by the certificate of is_simple, so a simple
+    algebra needs no point budget.  A non-simple one goes on to the
+    projective-point scan, whose first point with a proper ideal is the
+    witness; the scan must find one, or the two methods disagree.
+    """
+    if is_simple(A):
+        return None
     if num_projective_points(A.field, A.dim) > point_budget:
         raise CapExceeded("too many projective points for the simplicity test")
+    wit = _scan_simplicity_witness(A)
+    if wit is None:
+        raise CheckFailure("simplicity certificate rejects an algebra whose "
+                           "projective points all generate it")
+    return wit
+
+
+def _scan_simplicity_witness(A: FDAlgebra):
+    """Oracle: the first projective point generating a proper ideal, or None.
+
+    Checks that every projective direction generates everything, which is
+    sound and complete over a finite base field at (p^n - 1)/(p - 1) ideal
+    generations.
+    """
     for v in projective_points(A.field, A.dim):
         I = ideal_generated(A, [v], "two", stop_at_full=True)
         if not I.is_full():
             return tuple(v)
     return None
-
-
-def is_simple(A: FDAlgebra, point_budget: int = SIMPLICITY_POINT_BUDGET) -> bool:
-    return simplicity_witness(A, point_budget) is None
 
 
 # ---------------------------------------------------------------------------
@@ -985,6 +1071,11 @@ def check_ring_iso(A: FDAlgebra, B: FDAlgebra, mat) -> bool:
 
 # ---------------------------------------------------------------------------
 # stock algebras
+
+
+def scalar_algebra(field: Field) -> FDAlgebra:
+    """The base field as a one-dimensional algebra."""
+    return FDAlgebra(field, ["1"], [[[field.one]]], [field.one])
 
 
 def matrix_algebra(field: Field, n: int) -> FDAlgebra:

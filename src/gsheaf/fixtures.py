@@ -16,7 +16,7 @@ import itertools
 from . import convalg, exactalg, induction, isgring, linalg, sheaf as sheafmod
 from .convalg import ConvAlgebra, build_conv_algebra
 from .errors import CapExceeded, InputError
-from .exactalg import FDAlgebra, Subspace
+from .exactalg import FDAlgebra, Subspace, scalar_algebra
 from .fields import Field, GF, QQ
 from .groupoid import (ARROW_CAP, FiniteGroupoid, bisection_semigroup,
                        is_effective, is_minimal)
@@ -31,10 +31,6 @@ MIN_CATALOG = 14
 
 # ---------------------------------------------------------------------------
 # small algebras used as stalks
-
-
-def scalar_algebra(f: Field) -> FDAlgebra:
-    return FDAlgebra(f, ["1"], [[[f.one]]], [f.one])
 
 
 def f4_algebra() -> FDAlgebra:

@@ -676,7 +676,7 @@ def check_simpleaction(act: SpaceAction, O: GSheafOfAlgebras | None = None,
     from .fields import GF
     germ = germ_groupoid(act)
     if O is None:
-        O = constant_sheaf(germ.groupoid, _scalar_algebra(GF(p)))
+        O = constant_sheaf(germ.groupoid, exactalg.scalar_algebra(GF(p)))
     hyp = {
         "action topologically free": is_topologically_free(act),
         "sheaf of fields": is_sheaf_of_fields(O),
@@ -695,10 +695,6 @@ def check_simpleaction(act: SpaceAction, O: GSheafOfAlgebras | None = None,
 
 # ---------------------------------------------------------------------------
 # the convolution algebra as a skew ring of its bisection action
-
-
-def _scalar_algebra(field: Field) -> FDAlgebra:
-    return FDAlgebra(field, ["1"], [[[field.one]]], [field.one])
 
 
 def _diagonal_algebra(conv: ConvAlgebra):
@@ -1189,7 +1185,7 @@ def verify_partial_crossed(act: PartialGroupAction, field: Field,
     skew = skew_isg_ring(ring_act)
     if not skew.N.is_zero():
         raise CheckFailure("group-indexed relation ideal is nonzero")
-    O = constant_sheaf(G, _scalar_algebra(field))
+    O = constant_sheaf(G, exactalg.scalar_algebra(field))
     conv = build_conv_algebra(G, O)
     f = field
     A = ring_act.algebra

@@ -105,15 +105,27 @@ def _encode_matrix(f: Field, M):
 # groupoids
 
 
+def _require_id(x) -> None:
+    """Unit and arrow ids are strings or integers, so they can be keys."""
+    if not isinstance(x, (str, int)):
+        raise InputError(f"groupoid ids must be strings or integers, got {x!r}")
+
+
 def groupoid_from_doc(doc: dict, base_dir: str = ".") -> FiniteGroupoid:
     if doc.get("kind") != "groupoid":
         raise InputError("expected a groupoid document")
     units = _require(doc, "units", "groupoid")
     arrows_doc = _require(doc, "arrows", "groupoid")
+    if not isinstance(units, list) or not isinstance(arrows_doc, list):
+        raise InputError("groupoid units and arrows must be lists")
+    for u in units:
+        _require_id(u)
     arrows, src, dst = [], {}, {}
     for a in arrows_doc:
         if not isinstance(a, dict) or {"id", "src", "dst"} - set(a):
             raise InputError("each arrow needs id, src and dst")
+        for key in ("id", "src", "dst"):
+            _require_id(a[key])
         arrows.append(a["id"])
         src[a["id"]] = a["src"]
         dst[a["id"]] = a["dst"]
@@ -126,6 +138,8 @@ def groupoid_from_doc(doc: dict, base_dir: str = ".") -> FiniteGroupoid:
         if not isinstance(triple, list) or len(triple) != 3:
             raise InputError("compose entries are [later, earlier, product]")
         b, r, br = triple
+        for x in triple:
+            _require_id(x)
         if (b, r) in compose and compose[b, r] != br:
             raise InputError(f"conflicting compositions for ({b},{r})")
         compose[b, r] = br
@@ -138,6 +152,8 @@ def groupoid_from_doc(doc: dict, base_dir: str = ".") -> FiniteGroupoid:
     for pair in doc.get("inverse", []):
         if not isinstance(pair, list) or len(pair) != 2:
             raise InputError("inverse entries are [arrow, inverse]")
+        for x in pair:
+            _require_id(x)
         inverse[pair[0]] = pair[1]
     for u in units:
         inverse.setdefault(u, u)

@@ -165,26 +165,8 @@ def int_ker_is_units(O: GSheafOfAlgebras) -> bool:
 
 
 def is_field_algebra(A: FDAlgebra) -> bool:
-    """Is the algebra a field?  Exhaustive over finite base fields.
-
-    Over the rationals only the one-dimensional unital case is decided;
-    anything else raises rather than guessing.
-    """
-    if A.unit is None or A.dim == 0:
-        return False
-    if not A.is_commutative():
-        return False
-    if A.field.is_finite:
-        f = A.field
-        for v in A.elements():
-            if linalg.vec_is_zero(v):
-                continue
-            if linalg.inverse_matrix(f, A.left_mult_matrix(list(v))) is None:
-                return False
-        return True
-    if A.dim == 1:
-        return True  # unital 1-dim algebra over a field is the field
-    raise CapExceeded("field test over the rationals is only decided in dim 1")
+    """Is the stalk algebra a field?  See exactalg.is_field."""
+    return exactalg.is_field(A)
 
 
 def is_sheaf_of_fields(O: GSheafOfAlgebras) -> bool:

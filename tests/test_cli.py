@@ -259,6 +259,25 @@ def test_fixtures_run_and_determinism(capsys):
     assert json.loads(out)["kind"] == "input_error"
 
 
+@pytest.mark.parametrize("mangle", [
+    lambda g: g.update(units=[["x"]]),
+    lambda g: g.update(units=7),
+    lambda g: g["arrows"][0].update(id={"x": 1}),
+    lambda g: g["arrows"][0].update(src=["x"]),
+    lambda g: g.update(compose=[[["x"], "x", "x"]]),
+    lambda g: g.update(inverse=[["x", None]]),
+], ids=["unit-list", "units-int", "arrow-id-dict", "src-list",
+        "compose-list", "inverse-null"])
+def test_malformed_groupoid_ids_exit_2(tmp_path, capsys, mangle):
+    doc = schemas.sheaf_to_doc(constant_sheaf(t1_groupoid(1),
+                                              scalar_algebra(GF(2))))
+    mangle(doc["groupoid"])
+    p = write(tmp_path, "bad_ids.json", doc)
+    code, out = run_cli(capsys, ["check", "simple", p])
+    assert code == 2
+    assert out["kind"] == "input_error"
+
+
 def test_unknown_subcommand_usage_error():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])

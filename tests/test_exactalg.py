@@ -22,10 +22,11 @@ from gsheaf.exactalg import (FDAlgebra, Subspace, annihilator, centralizer,
                              meataxe_simple_quotients, quotient_algebra,
                              quotient_coords, radical_bruteforce,
                              regular_module, restrict_module,
-                             simple_modules_isomorphic, subalgebra_on,
-                             validate_algebra)
+                             simple_modules_isomorphic, simplicity_witness,
+                             subalgebra_on, validate_algebra)
 from gsheaf.fields import GF, QQ
-from gsheaf.fixtures import cyclic_mul, dual_numbers, f4_algebra, s3_group
+from gsheaf.fixtures import (cyclic_mul, dual_numbers, f4_algebra,
+                             run_catalog, s3_group)
 
 
 def table_algebra(p, elements):
@@ -140,8 +141,152 @@ def test_simplicity():
     assert is_simple(f4_algebra())
     assert not is_simple(z2_algebra(2))
     assert not is_simple(dual_numbers())
-    with pytest.raises(CapExceeded):
+    with pytest.raises(CapExceeded, match="needs a finite base field"):
         is_simple(matrix_algebra(QQ, 2))
+    with pytest.raises(CapExceeded, match="needs a finite base field"):
+        simplicity_witness(matrix_algebra(QQ, 2))
+
+
+def test_simplicity_beyond_the_point_budget():
+    # M_4(GF(3)) has 21 523 360 projective points, over the scan's budget;
+    # the certificate decides it anyway.
+    A = matrix_algebra(GF(3), 4)
+    assert exactalg.num_projective_points(A.field, A.dim) > \
+        exactalg.SIMPLICITY_POINT_BUDGET
+    assert is_simple(A)
+    assert simplicity_witness(A) is None
+    assert is_simple(matrix_algebra(GF(5), 3))
+
+
+def product_algebra(A, B):
+    """A x B on the concatenated bases, multiplied blockwise."""
+    n, m = A.dim, B.dim
+    zero = [A.field.zero] * (n + m)
+    table = [[zero] * (n + m) for _ in range(n + m)]
+    for i in range(n):
+        for j in range(n):
+            table[i][j] = list(A.table[i][j]) + [B.field.zero] * m
+    for i in range(m):
+        for j in range(m):
+            table[n + i][n + j] = [A.field.zero] * n + list(B.table[i][j])
+    labels = [f"a{lab}" for lab in A.labels] + [f"b{lab}" for lab in B.labels]
+    return FDAlgebra(A.field, labels, table, list(A.unit) + list(B.unit))
+
+
+def upper_triangular(p):
+    A = matrix_algebra(GF(p), 2)
+    S = Subspace.from_vectors(A.field, A.dim, [
+        A.basis_vector(A.label_index[lab]) for lab in ("e11", "e12", "e22")])
+    return subalgebra_on(A, S)
+
+
+def centre(A):
+    return subalgebra_on(A, centralizer(A, Subspace.full(A.field, A.dim)))
+
+
+STOCK_SIMPLICITY = [
+    *[(f"M{m}(F{p})", lambda m=m, p=p: matrix_algebra(GF(p), m))
+      for p in (2, 3, 5) for m in (1, 2, 3) if (p, m) != (5, 3)],
+    ("f4", f4_algebra),
+    ("dual", dual_numbers),
+    ("F3[Z2]", lambda: z2_algebra(3)),
+    ("F2[Z3]", lambda: z3_algebra(2)),
+    ("M2(F2)xM2(F2)", lambda: product_algebra(matrix_algebra(GF(2), 2),
+                                              matrix_algebra(GF(2), 2))),
+    ("upper(F3)", lambda: upper_triangular(3)),
+    ("S3(F2)", lambda: s3_algebra(2)),
+]
+
+
+@pytest.mark.parametrize("build", [b for _, b in STOCK_SIMPLICITY],
+                         ids=[name for name, _ in STOCK_SIMPLICITY])
+def test_simplicity_certificate_matches_scan(build):
+    # M_3(GF(5)) is left to test_simplicity_beyond_the_point_budget: its
+    # 488 281 projective points make the scan take minutes.
+    A = build()
+    wit = exactalg._scan_simplicity_witness(A)
+    assert is_simple(A) == (wit is None)
+    assert simplicity_witness(A) == wit
+
+
+def test_simplicity_certificate_matches_scan_on_catalog(monkeypatch):
+    # every finite-field algebra whose simplicity the fixture catalog asks
+    real = exactalg.is_simple
+    seen = {}
+
+    def recording_is_simple(A):
+        if A.field.is_finite:
+            key = (A.field.p, A.labels, tuple(map(tuple, A.table)), A.unit)
+            seen.setdefault(key, A)
+        return real(A)
+
+    monkeypatch.setattr(exactalg, "is_simple", recording_is_simple)
+    run_catalog()
+    assert len(seen) >= 18
+    for A in seen.values():
+        assert real(A) == (exactalg._scan_simplicity_witness(A) is None)
+
+
+def test_simplicity_certificate_parts():
+    # GF(3) x GF(3): the operators x -> a x b span all of End_Z(A), so the
+    # rank test passes and only the field test on the centre rejects it.
+    A = z2_algebra(3)
+    Z = centre(A)
+    assert Z.dim == 2 and not exactalg.is_field(Z)
+    assert exactalg._bimodule_rank(A) == A.dim * A.dim // Z.dim
+    # upper triangular 2x2: the centre is the scalars, a field, so the
+    # rank test must reject it.
+    T = upper_triangular(3)
+    Z = centre(T)
+    assert Z.dim == 1 and exactalg.is_field(Z)
+    assert exactalg._bimodule_rank(T) < T.dim * T.dim
+    assert not is_simple(T)
+
+
+def poly_quotient(p, f):
+    """GF(p)[x]/(f) on the basis 1, x, ..., x^(d-1); f monic, low degree
+    first without its leading 1."""
+    F = GF(p)
+    d = len(f)
+
+    def reduce(coeffs):
+        coeffs = list(coeffs)
+        for top in range(len(coeffs) - 1, d - 1, -1):
+            c = coeffs[top]
+            coeffs[top] = 0
+            for k, a in enumerate(f):
+                coeffs[top - d + k] = (coeffs[top - d + k] - c * a) % p
+        return coeffs[:d]
+
+    table = [[reduce([0] * (i + j) + [1] + [0] * d) for j in range(d)]
+             for i in range(d)]
+    return FDAlgebra(F, [f"x{i}" for i in range(d)], table, [1] + [0] * (d - 1))
+
+
+def is_field_by_inversion(A):
+    """Oracle: every nonzero element has an invertible multiplication."""
+    f = A.field
+    return all(linalg.inverse_matrix(f, A.left_mult_matrix(list(v))) is not None
+               for v in A.elements() if not linalg.vec_is_zero(v))
+
+
+@pytest.mark.parametrize("p,f,expect", [
+    (2, [1, 1], True),          # x^2 + x + 1, irreducible
+    (2, [1, 1, 0], True),       # x^3 + x + 1, irreducible
+    (3, [1, 0], True),          # x^2 + 1, irreducible
+    (5, [1, 1, 0], True),       # x^3 + x + 1, irreducible
+    (2, [0, 1], False),         # x^2 + x = x (x + 1), split
+    (3, [2, 0], False),         # x^2 - 1, split
+    (2, [1, 0, 0], False),      # x^3 + 1 = (x + 1)(x^2 + x + 1)
+    (2, [0, 0], False),         # x^2, a square
+    (3, [1, 2], False),         # (x + 1)^2
+    (2, [1, 1, 1], False),      # (x + 1)^3
+], ids=lambda v: str(v))
+def test_is_field_matches_inversion(p, f, expect):
+    A = poly_quotient(p, f)
+    assert validate_algebra(A) == []
+    assert exactalg.is_field(A) is expect
+    assert is_field_by_inversion(A) is expect
 
 
 @pytest.mark.parametrize("A,expect", [
