@@ -421,18 +421,51 @@ def is_ideal(A: FDAlgebra, S: Subspace, sided: str = "two") -> bool:
 def enumerate_two_sided_ideals(A: FDAlgebra, cap: int = IDEAL_DIM_CAP) -> list[Subspace]:
     """All two-sided ideals, sorted by (dim, basis).
 
-    Every ideal is the join of the cyclic ideals of its elements, so the
-    join-closure of all cyclic ideals (one per projective point) is the
-    complete list.  Capped because the point count grows with p^dim.
+    Every ideal is the join of the cyclic ideals of its elements.  For a
+    unital A, take a complete set e_1..e_k of orthogonal idempotents
+    (orthogonal_idempotents, sum 1).  Then every two-sided ideal is
+    I = sum_ij e_i I e_j, and e_i I e_j = I meet e_i A e_j because
+    e_i x e_j = x for x in e_i A e_j.  So I is the join of the cyclic
+    ideals of the projective points of I inside the Peirce spaces
+    e_i A e_j, and the join-closure of the cyclic ideals of all points of
+    all Peirce spaces is the complete list.  That scan costs
+    sum_ij p^dim(e_i A e_j) ideal generations instead of p^dim A.  A
+    non-unital algebra is scanned whole.  Capped at dim A because the
+    join-closure and the worst case (a local algebra, k = 1) still grow
+    with p^dim.
     """
     if not A.field.is_finite:
         raise CapExceeded("ideal enumeration needs a finite base field")
     if A.dim > cap:
         raise CapExceeded(f"ideal enumeration capped at dim {cap}, algebra has dim {A.dim}")
+    if A.unit is None or A.dim == 0:
+        return _scan_two_sided_ideals(A)
+    f = A.field
+    idems = orthogonal_idempotents(A)
+    cyclics: dict[tuple, Subspace] = {}
+    for e in idems:
+        left = [A.mul(e, A.basis_vector(i)) for i in range(A.dim)]
+        for e2 in idems:
+            piece = Subspace.from_vectors(f, A.dim, [A.mul(x, e2) for x in left])
+            cols = linalg.transpose(piece.basis)
+            for c in projective_points(f, piece.dim):
+                I = ideal_generated(A, [linalg.mat_vec(f, cols, c)], "two")
+                cyclics.setdefault(I.basis, I)
+    return _join_closure(A, cyclics)
+
+
+def _scan_two_sided_ideals(A: FDAlgebra) -> list[Subspace]:
+    """Oracle: the join-closure of the cyclic ideals of all projective
+    points of A, at (p^n - 1)/(p - 1) ideal generations."""
     cyclics: dict[tuple, Subspace] = {}
     for v in projective_points(A.field, A.dim):
         I = ideal_generated(A, [v], "two")
         cyclics.setdefault(I.basis, I)
+    return _join_closure(A, cyclics)
+
+
+def _join_closure(A: FDAlgebra, cyclics: dict) -> list[Subspace]:
+    """0 and every join of the given ideals, sorted by (dim, basis)."""
     found: dict[tuple, Subspace] = {(): Subspace.zero(A.field, A.dim)}
     for I in cyclics.values():
         found.setdefault(I.basis, I)
@@ -479,6 +512,129 @@ def enumerate_subspaces(field: Field, dim: int, max_count: int = 500_000):
 
 
 # ---------------------------------------------------------------------------
+# idempotents
+
+
+def _power(A: FDAlgebra, x, k: int):
+    """x^k for k >= 1, by repeated squaring."""
+    result = None
+    while True:
+        if k & 1:
+            result = x if result is None else A.mul(result, x)
+        k >>= 1
+        if not k:
+            return result
+        x = A.mul(x, x)
+
+
+def _frobenius(A: FDAlgebra, basis):
+    """(images, fixed) for z -> z^p on a commutative subalgebra over GF(p).
+
+    images are the b^p of the given basis vectors, fixed a basis of
+    {z : z^p = z}.  In characteristic p the map is GF(p)-linear on a
+    commutative algebra, so the fixed space is the kernel of the map
+    sending coefficients x to sum x_i (b_i^p - b_i).
+    """
+    f = A.field
+    images = [_power(A, b, f.order) for b in basis]
+    moved = [linalg.vec_sub(f, fb, b) for fb, b in zip(images, basis)]
+    coeffs = linalg.kernel_basis(f, linalg.transpose(moved), len(basis))
+    cols = linalg.transpose(basis)
+    return images, [linalg.mat_vec(f, cols, x) for x in coeffs]
+
+
+def _primitive_idempotents(A: FDAlgebra, one, basis):
+    """The primitive idempotents of a commutative subalgebra C over GF(p).
+
+    C is the span of basis, with unit one.  C is a product of local rings,
+    and in each local factor Hensel's lemma lifts the roots of x^p - x
+    only from GF(p), so the Frobenius fixed space is spanned by the
+    primitive idempotents of C.  A fixed z is sum c_k eps_k over them, and
+    by Fermat 1 - (z - c)^(p-1) is the sum of the eps_k with c_k = c;
+    splitting by every basis vector of the fixed space separates them all.
+    Certified: as many idempotents as the fixed space has dimensions,
+    each e^2 = e, pairwise products 0, and the sum equal to one.
+    """
+    one = list(one)
+    if len(basis) == 1:
+        return [one]  # C = GF(p) one
+    f = A.field
+    _, fixed = _frobenius(A, basis)
+    parts = [one]
+    for z in fixed:
+        if len(parts) == len(fixed):
+            break
+        split = []
+        for e in parts:
+            ez = A.mul(e, z)
+            rest = e
+            for c in f.elements():
+                shifted = linalg.vec_sub(f, ez, linalg.vec_scale(f, c, e))
+                part = linalg.vec_sub(f, e, _power(A, shifted, f.order - 1))
+                if not linalg.vec_is_zero(part):
+                    split.append(part)
+                    rest = linalg.vec_sub(f, rest, part)
+                    if linalg.vec_is_zero(rest):
+                        break
+        parts = split
+    _certify_idempotents(A, one, parts, len(fixed))
+    return parts
+
+
+def _certify_idempotents(A: FDAlgebra, one, idems, count: int) -> None:
+    """Raise CheckFailure unless idems are count nonzero orthogonal
+    idempotents summing to one."""
+    f = A.field
+    total = linalg.zero_vector(f, A.dim)
+    for i, e in enumerate(idems):
+        if linalg.vec_is_zero(e) or A.mul(e, e) != e:
+            raise CheckFailure("idempotent splitting produced a non-idempotent")
+        for e2 in idems[i + 1:]:
+            if not (linalg.vec_is_zero(A.mul(e, e2))
+                    and linalg.vec_is_zero(A.mul(e2, e))):
+                raise CheckFailure("split idempotents are not orthogonal")
+        total = linalg.vec_add(f, total, e)
+    if len(idems) != count:
+        raise CheckFailure(f"split gave {len(idems)} idempotents, the "
+                           f"Frobenius fixed space has dimension {count}")
+    if total != one:
+        raise CheckFailure("split idempotents do not sum to the unit")
+
+
+def central_primitive_idempotents(A: FDAlgebra):
+    """The central primitive idempotents of a unital A over GF(p): one per
+    block of A, certified by _primitive_idempotents on the centre."""
+    Z = centralizer(A, Subspace.full(A.field, A.dim))
+    return _primitive_idempotents(A, A.unit, [list(b) for b in Z.basis])
+
+
+def orthogonal_idempotents(A: FDAlgebra):
+    """A complete set of orthogonal idempotents of a unital A over GF(p).
+
+    Starts from the central primitive idempotents; then, for each basis
+    vector b in order, replaces each idempotent e by the primitive
+    idempotents of GF(p)[e, e b e].  That algebra is commutative with
+    unit e and lies in e A e, so the set stays orthogonal and sums to 1.
+    Deterministic; the pieces need not be primitive in A.
+    """
+    f = A.field
+    idems = central_primitive_idempotents(A)
+    for i in range(A.dim):
+        b = A.basis_vector(i)
+        refined = []
+        for e in idems:
+            g = A.mul(A.mul(e, b), e)
+            span = IncrementalSpan(f, A.dim)
+            span.add(e)
+            y = g
+            while span.add(y):
+                y = A.mul(y, g)
+            refined.extend(_primitive_idempotents(A, e, span.rows))
+        idems = refined
+    return idems
+
+
+# ---------------------------------------------------------------------------
 # simplicity
 
 
@@ -503,17 +659,8 @@ def is_field(A: FDAlgebra) -> bool:
         if A.dim == 1:
             return True  # unital 1-dim algebra over a field is the field
         raise CapExceeded("field test over the rationals is only decided in dim 1")
-    basis = [A.basis_vector(i) for i in range(A.dim)]
-    frob = []
-    for b in basis:
-        z = b
-        for _ in range(f.order - 1):
-            z = A.mul(z, b)
-        frob.append(z)
-    if linalg.rank(f, frob) < A.dim:
-        return False
-    moved = [linalg.vec_sub(f, fb, b) for fb, b in zip(frob, basis)]
-    return linalg.rank(f, moved) == A.dim - 1
+    frob, fixed = _frobenius(A, [A.basis_vector(i) for i in range(A.dim)])
+    return linalg.rank(f, frob) == A.dim and len(fixed) == 1
 
 
 def _bimodule_rank(A: FDAlgebra, stop_at: int | None = None) -> int:
@@ -564,19 +711,32 @@ def simplicity_witness(A: FDAlgebra, point_budget: int = SIMPLICITY_POINT_BUDGET
     """None when A is simple; else a vector generating a proper nonzero ideal.
 
     Simplicity is decided by the certificate of is_simple, so a simple
-    algebra needs no point budget.  A non-simple one goes on to the
-    projective-point scan, whose first point with a proper ideal is the
-    witness; the scan must find one, or the two methods disagree.
+    algebra needs no point budget.  Within the budget, the witness of a
+    non-simple one is the first point of the projective-point scan with a
+    proper ideal; the scan must find one, or the two methods disagree.
+    Beyond it the witness comes from the structure: a nontrivial central
+    primitive idempotent when A has several blocks, and otherwise (one
+    block that is not simple, so not semisimple) a nonzero vector of the
+    Jacobson radical.  Either must generate a proper nonzero ideal.
     """
     if is_simple(A):
         return None
-    if num_projective_points(A.field, A.dim) > point_budget:
-        raise CapExceeded("too many projective points for the simplicity test")
-    wit = _scan_simplicity_witness(A)
-    if wit is None:
-        raise CheckFailure("simplicity certificate rejects an algebra whose "
-                           "projective points all generate it")
-    return wit
+    if num_projective_points(A.field, A.dim) <= point_budget:
+        wit = _scan_simplicity_witness(A)
+        if wit is None:
+            raise CheckFailure("simplicity certificate rejects an algebra whose "
+                               "projective points all generate it")
+        return wit
+    blocks = central_primitive_idempotents(A)
+    if len(blocks) > 1:
+        wit = blocks[0]
+    else:
+        J = jacobson_radical(A)
+        wit = list(J.basis[0]) if J.basis else None
+    if wit is None or ideal_generated(A, [wit], "two", stop_at_full=True).is_full():
+        raise CheckFailure("a non-simple algebra has no structural witness "
+                           "of a proper ideal")
+    return tuple(wit)
 
 
 def _scan_simplicity_witness(A: FDAlgebra):

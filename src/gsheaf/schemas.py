@@ -59,6 +59,16 @@ def _resolve(value, base_dir: str, loader, kind: str):
     raise InputError(f"expected an inline {kind} object or a path string")
 
 
+def _require_known_keys(section, known, what: str, member: str) -> None:
+    """Every key of an id-keyed section names a member of the structure."""
+    if not isinstance(section, dict):
+        raise InputError(f"{what} must be an object keyed by id")
+    known = set(known)
+    for key in section:
+        if key not in known:
+            raise InputError(f"{what} key {key!r} is not {member}")
+
+
 # ---------------------------------------------------------------------------
 # fields
 
@@ -192,6 +202,7 @@ def sheaf_from_doc(doc: dict, base_dir: str = ".") -> GSheafOfAlgebras:
                  groupoid_from_doc, "groupoid")
     f = field_from_doc(_require(doc, "field", "sheaf"))
     stalks_doc = _require(doc, "stalks", "sheaf")
+    _require_known_keys(stalks_doc, G.units, "stalks", "a unit of the groupoid")
     stalks = {}
     for u in G.units:
         if u not in stalks_doc:
@@ -215,6 +226,7 @@ def sheaf_from_doc(doc: dict, base_dir: str = ".") -> GSheafOfAlgebras:
         labels = [f"b{k}" for k in range(dim)]
         stalks[u] = FDAlgebra(f, labels, table, one)
     alpha_doc = doc.get("alpha", {})
+    _require_known_keys(alpha_doc, G.arrows, "alpha", "an arrow of the groupoid")
     alpha = {}
     for a in G.arrows:
         d = stalks[G.dst[a]].dim
@@ -425,6 +437,9 @@ def ring_action_from_doc(doc: dict, base_dir: str = ".") -> SpectralRingAction:
     f = A.field
     domains_doc = _require(doc, "domains", "ring_action")
     alpha_doc = _require(doc, "alpha", "ring_action")
+    for section, name in ((domains_doc, "domains"), (alpha_doc, "alpha")):
+        _require_known_keys(section, S.elements, name,
+                            "an element of the semigroup")
     domain, alpha = {}, {}
     for s in S.elements:
         vecs = [_coerce_vector(f, v, A.dim, f"domain generator of {s}")

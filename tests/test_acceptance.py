@@ -6,6 +6,7 @@ skipped for that instance only, never weakened.  Run with -v to get one
 pass or fail line per criterion.
 """
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -38,6 +39,8 @@ from gsheaf.sheaf import (constant_sheaf, diagonal_vnr, int_ker_is_units,
 
 SMALL_DIM = 8          # ideal enumeration cap
 ORDER_CAP = 2 ** 12    # brute-force element scans
+# sha256 of `gsheaf --seed 0 fixtures run` on standard output
+CATALOG_SHA256 = "26055eba84fc6398098c9fe360781d4c8df92bcdcf71ef8ccfd0bb4fb5d0c4f0"
 
 
 def sheaf_fixture_names():
@@ -432,6 +435,9 @@ def test_16_catalog_determinism():
     assert first.returncode == 0, first.stdout.decode()[-2000:]
     assert second.returncode == 0
     assert first.stdout == second.stdout
+    # the catalog's output is pinned byte for byte; a change to the
+    # fixtures or the report format must update this digest on purpose
+    assert hashlib.sha256(first.stdout).hexdigest() == CATALOG_SHA256
     doc = json.loads(first.stdout)
     assert doc["totals"]["fail"] == 0
     assert len(doc["fixtures"]) >= 14

@@ -278,6 +278,32 @@ def test_malformed_groupoid_ids_exit_2(tmp_path, capsys, mangle):
     assert out["kind"] == "input_error"
 
 
+@pytest.mark.parametrize("mangle", [
+    lambda d: d["alpha"].update(zz=[[1]]),
+    lambda d: d["stalks"].update(zz=dict(d["stalks"]["u1"])),
+], ids=["alpha", "stalks"])
+def test_unknown_sheaf_ids_exit_2(tmp_path, capsys, mangle):
+    doc = schemas.sheaf_to_doc(constant_sheaf(pair_groupoid(2),
+                                              scalar_algebra(GF(2))))
+    mangle(doc)
+    p = write(tmp_path, "unknown_id.json", doc)
+    code, out = run_cli(capsys, ["check", "simple", p])
+    assert code == 2
+    assert out["kind"] == "input_error"
+    assert "'zz'" in out["error"]
+
+
+@pytest.mark.parametrize("section", ["alpha", "domains"])
+def test_unknown_ring_action_ids_exit_2(tmp_path, capsys, section):
+    doc = schemas.ring_action_to_doc(swap_ring_action())
+    doc[section]["zz"] = doc[section]["g"]
+    p = write(tmp_path, "unknown_id.json", doc)
+    code, out = run_cli(capsys, ["verify", "pierce", p])
+    assert code == 2
+    assert out["kind"] == "input_error"
+    assert "'zz'" in out["error"]
+
+
 def test_unknown_subcommand_usage_error():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])

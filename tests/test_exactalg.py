@@ -4,6 +4,7 @@ The exhaustive oracles here (subspace scans, quasi-inverse scans) pin
 down the clever routines on every algebra small enough to enumerate.
 """
 
+import functools
 import itertools
 import random
 
@@ -12,7 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gsheaf import exactalg, linalg
-from gsheaf.errors import AlgebraError, CapExceeded
+from gsheaf.convalg import build_conv_algebra
+from gsheaf.errors import AlgebraError, CapExceeded, CheckFailure
 from gsheaf.exactalg import (FDAlgebra, Subspace, annihilator, centralizer,
                              check_ring_iso, enumerate_subspaces,
                              enumerate_two_sided_ideals, find_unit,
@@ -25,8 +27,11 @@ from gsheaf.exactalg import (FDAlgebra, Subspace, annihilator, centralizer,
                              simple_modules_isomorphic, simplicity_witness,
                              subalgebra_on, validate_algebra)
 from gsheaf.fields import GF, QQ
-from gsheaf.fixtures import (cyclic_mul, dual_numbers, f4_algebra,
-                             run_catalog, s3_group)
+from gsheaf.fixtures import (cyclic_mul, disjoint_union, dual_numbers,
+                             f4_algebra, group_groupoid, pair_groupoid,
+                             run_catalog, s3_group, scalar_algebra,
+                             t1_groupoid)
+from gsheaf.sheaf import constant_sheaf
 
 
 def table_algebra(p, elements):
@@ -209,22 +214,30 @@ def test_simplicity_certificate_matches_scan(build):
     assert simplicity_witness(A) == wit
 
 
-def test_simplicity_certificate_matches_scan_on_catalog(monkeypatch):
+@pytest.fixture(scope="module")
+def catalog_algebras():
+    """The distinct finite-field algebras the fixture catalog hands to
+    is_simple and to enumerate_two_sided_ideals, by function name."""
+    seen = {"is_simple": {}, "enumerate_two_sided_ideals": {}}
+    with pytest.MonkeyPatch.context() as mp:
+        for name, store in seen.items():
+            def recording(A, *args, real=getattr(exactalg, name), store=store):
+                if A.field.is_finite:
+                    key = (A.field.p, A.labels, tuple(map(tuple, A.table)), A.unit)
+                    store.setdefault(key, A)
+                return real(A, *args)
+
+            mp.setattr(exactalg, name, recording)
+        run_catalog()
+    return {name: list(store.values()) for name, store in seen.items()}
+
+
+def test_simplicity_certificate_matches_scan_on_catalog(catalog_algebras):
     # every finite-field algebra whose simplicity the fixture catalog asks
-    real = exactalg.is_simple
-    seen = {}
-
-    def recording_is_simple(A):
-        if A.field.is_finite:
-            key = (A.field.p, A.labels, tuple(map(tuple, A.table)), A.unit)
-            seen.setdefault(key, A)
-        return real(A)
-
-    monkeypatch.setattr(exactalg, "is_simple", recording_is_simple)
-    run_catalog()
+    seen = catalog_algebras["is_simple"]
     assert len(seen) >= 18
-    for A in seen.values():
-        assert real(A) == (exactalg._scan_simplicity_witness(A) is None)
+    for A in seen:
+        assert is_simple(A) == (exactalg._scan_simplicity_witness(A) is None)
 
 
 def test_simplicity_certificate_parts():
@@ -287,6 +300,176 @@ def test_is_field_matches_inversion(p, f, expect):
     assert validate_algebra(A) == []
     assert exactalg.is_field(A) is expect
     assert is_field_by_inversion(A) is expect
+
+
+# ---------------------------------------------------------------------------
+# ideal enumeration over Peirce spaces
+
+
+def dual_over(p):
+    return poly_quotient(p, [0, 0])  # GF(p)[x]/(x^2)
+
+
+def lattice_shape(spec):
+    """The convolution algebra of '<groupoid>/<stalk>@p': groupoids P<n>
+    (pair), Z<n> (cyclic), S3 and T1 (a point), joined by '+'; stalk F
+    (the field) or D (dual numbers over it)."""
+    shape, p = spec.split("@")
+    gspec, stalk = shape.split("/")
+    parts = []
+    for k, name in enumerate(gspec.split("+")):
+        if name.startswith("P"):
+            parts.append(pair_groupoid(int(name[1:])))
+        elif name.startswith("Z"):
+            labels = [f"z{k}{i}" for i in range(int(name[1:]))]
+            parts.append(group_groupoid(labels[0], labels, cyclic_mul(labels)))
+        elif name == "S3":
+            parts.append(group_groupoid(*s3_group()))
+        else:
+            parts.append(t1_groupoid(1))
+    G = functools.reduce(disjoint_union, parts)
+    A = scalar_algebra(GF(int(p))) if stalk == "F" else dual_over(int(p))
+    return build_conv_algebra(G, constant_sheaf(G, A)).algebra
+
+
+# one instance per slot of the benchmark's lattice workload
+LATTICE_SHAPES = ("Z2/F@3", "T1/D@3", "Z4/F@2", "Z2/D@3", "S3/F@2", "Z4/F@7",
+                  "P2/D@2", "S3/F@3", "P2+Z3/F@3")
+
+IDEAL_CASES = [
+    ("M2(F2)", lambda: matrix_algebra(GF(2), 2)),
+    ("M2(F3)", lambda: matrix_algebra(GF(3), 2)),
+    ("dual(F2)", dual_numbers),
+    ("dual(F3)", lambda: dual_over(3)),
+    ("F2[S3]", lambda: s3_algebra(2)),
+    ("F3[S3]", lambda: s3_algebra(3)),
+    ("F3xF3", lambda: z2_algebra(3)),
+    ("upper(F2)", lambda: upper_triangular(2)),
+    ("upper(F3)", lambda: upper_triangular(3)),
+    *[(spec, lambda spec=spec: lattice_shape(spec)) for spec in LATTICE_SHAPES],
+]
+
+
+def subspace_count(q, n):
+    """Number of subspaces of GF(q)^n: the sum of Gaussian binomials."""
+    total = 0
+    for k in range(n + 1):
+        num = den = 1
+        for i in range(k):
+            num *= q ** (n - i) - 1
+            den *= q ** (i + 1) - 1
+        total += num // den
+    return total
+
+
+def assert_idempotents_certified(A):
+    """orthogonal_idempotents is complete and orthogonal, and the central
+    ones number the dimensions of the centre's Frobenius fixed space."""
+    f, one = A.field, list(A.unit)
+    idems = exactalg.orthogonal_idempotents(A)
+    total = linalg.zero_vector(f, A.dim)
+    for i, e in enumerate(idems):
+        assert not linalg.vec_is_zero(e) and A.mul(e, e) == e
+        for e2 in idems[i + 1:]:
+            assert linalg.vec_is_zero(A.mul(e, e2))
+            assert linalg.vec_is_zero(A.mul(e2, e))
+        total = linalg.vec_add(f, total, e)
+    assert total == one
+    Z = centralizer(A, Subspace.full(f, A.dim))
+    _, fixed = exactalg._frobenius(A, [list(b) for b in Z.basis])
+    blocks = exactalg.central_primitive_idempotents(A)
+    assert len(blocks) == len(fixed)
+    assert all(Z.contains(e) for e in blocks)
+    assert linalg.vec_is_zero(linalg.vec_sub(
+        f, functools.reduce(lambda u, v: linalg.vec_add(f, u, v), blocks), one))
+    for e in idems:
+        assert sum(1 for c in blocks if A.mul(c, e) == e) == 1
+
+
+def assert_peirce_enumeration_correct(A):
+    ideals = [I.basis for I in enumerate_two_sided_ideals(A)]
+    assert ideals == [I.basis for I in exactalg._scan_two_sided_ideals(A)]
+    if subspace_count(A.field.order, A.dim) <= 4000:
+        brute = sorted((S for S in enumerate_subspaces(A.field, A.dim)
+                        if is_ideal(A, S, "two")), key=Subspace.sort_key)
+        assert ideals == [S.basis for S in brute]
+
+
+@pytest.mark.parametrize("build", [b for _, b in IDEAL_CASES],
+                         ids=[name for name, _ in IDEAL_CASES])
+def test_peirce_ideal_enumeration_matches_scan(build):
+    A = build()
+    assert validate_algebra(A) == []
+    assert_idempotents_certified(A)
+    assert_peirce_enumeration_correct(A)
+
+
+def test_peirce_ideal_enumeration_matches_scan_on_catalog(catalog_algebras):
+    # every finite-field algebra of dim <= 8 whose ideals the catalog lists
+    seen = [A for A in catalog_algebras["enumerate_two_sided_ideals"]
+            if A.dim <= exactalg.IDEAL_DIM_CAP]
+    assert len(seen) >= 13
+    for A in seen:
+        assert_idempotents_certified(A)
+        assert_peirce_enumeration_correct(A)
+
+
+@pytest.mark.parametrize("build,blocks,pieces", [
+    (lambda: matrix_algebra(GF(3), 3), 1, 3),
+    (lambda: z2_algebra(3), 2, 2),
+    (lambda: z3_algebra(3), 1, 1),
+    (lambda: lattice_shape("Z4/F@7"), 3, 3),
+    (lambda: lattice_shape("P2+Z3/F@3"), 2, 3),
+], ids=["M3(F3)", "F3xF3", "F3[Z3]", "F7[Z4]", "M2(F3)xF3[Z3]"])
+def test_idempotent_counts(build, blocks, pieces):
+    A = build()
+    assert len(exactalg.central_primitive_idempotents(A)) == blocks
+    assert len(exactalg.orthogonal_idempotents(A)) == pieces
+
+
+def test_idempotent_certificate_rejects_incomplete_sets():
+    A = matrix_algebra(GF(3), 2)
+    one = list(A.unit)
+    idems = exactalg.orthogonal_idempotents(A)
+    assert len(idems) == 2
+    exactalg._certify_idempotents(A, one, idems, 2)
+    with pytest.raises(CheckFailure, match="sum to the unit"):
+        exactalg._certify_idempotents(A, one, idems[:1], 1)
+    with pytest.raises(CheckFailure, match="Frobenius fixed space"):
+        exactalg._certify_idempotents(A, one, idems, 3)
+    with pytest.raises(CheckFailure, match="not orthogonal"):
+        exactalg._certify_idempotents(A, one, [one, idems[0]], 2)
+    with pytest.raises(CheckFailure, match="non-idempotent"):
+        exactalg._certify_idempotents(A, one, [[2, 0, 0, 2]], 1)
+
+
+def tensor_algebra(A, B):
+    """A (x) B on the basis of pairs, multiplied factorwise."""
+    f = A.field
+    table = [[[f.mul(x, y) for x in A.table[i][j] for y in B.table[k][l]]
+              for j in range(A.dim) for l in range(B.dim)]
+             for i in range(A.dim) for k in range(B.dim)]
+    labels = [f"{a}{b}" for a in A.labels for b in B.labels]
+    unit = [f.mul(x, y) for x in A.unit for y in B.unit]
+    return FDAlgebra(f, labels, table, unit)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: product_algebra(matrix_algebra(GF(3), 3), matrix_algebra(GF(3), 3)),
+    lambda: tensor_algebra(matrix_algebra(GF(3), 3), dual_over(3)),
+], ids=["M3(F3)xM3(F3)", "M3(F3[u]/u^2)"])
+def test_simplicity_witness_beyond_the_point_budget(build):
+    # 193 710 244 projective points each: the witness comes from the
+    # blocks or the radical, not from the scan
+    A = build()
+    assert validate_algebra(A) == []
+    assert exactalg.num_projective_points(A.field, A.dim) > \
+        exactalg.SIMPLICITY_POINT_BUDGET
+    assert not is_simple(A)
+    wit = simplicity_witness(A)
+    assert not linalg.vec_is_zero(wit)
+    I = ideal_generated(A, [wit], "two")
+    assert not I.is_zero() and not I.is_full()
 
 
 @pytest.mark.parametrize("A,expect", [
