@@ -135,7 +135,9 @@ class FDAlgebra:
     """An algebra given by structure constants on a distinguished basis.
 
     table[i][j] is the coordinate vector of b_i * b_j.  unit is the
-    coordinate vector of a two-sided identity, or None.
+    coordinate vector of a two-sided identity, or None.  The table must
+    not change after the first product: products read views of it that
+    are built once.
     """
 
     def __init__(self, field: Field, labels, table, unit=None):
@@ -157,26 +159,33 @@ class FDAlgebra:
             raise AlgebraError("duplicate basis labels")
         self._left_mats: list | None = None
         self._right_mats: list | None = None
+        self._nonzero: list | None = None
 
     def basis_vector(self, i: int):
         v = linalg.zero_vector(self.field, self.dim)
         v[i] = self.field.one
         return v
 
+    def nonzero_table(self):
+        """nonzero_table()[i][j] lists the (k, t) with t = table[i][j][k] != 0."""
+        if self._nonzero is None:
+            self._nonzero = [[[(k, t) for k, t in enumerate(v) if t != 0]
+                              for v in row] for row in self.table]
+        return self._nonzero
+
     def mul(self, u, v):
         f = self.field
         out = linalg.zero_vector(f, self.dim)
+        v_nz = [(j, b) for j, b in enumerate(v) if b != 0]
+        nonzero = self.nonzero_table()
         for i, a in enumerate(u):
             if a == 0:
                 continue
-            row = self.table[i]
-            for j, b in enumerate(v):
-                if b == 0:
-                    continue
+            row = nonzero[i]
+            for j, b in v_nz:
                 c = f.mul(a, b)
-                for k, t in enumerate(row[j]):
-                    if t != 0:
-                        out[k] = f.add(out[k], f.mul(c, t))
+                for k, t in row[j]:
+                    out[k] = f.add(out[k], f.mul(c, t))
         return out
 
     def left_basis_mats(self):
@@ -199,34 +208,10 @@ class FDAlgebra:
         return self._right_mats
 
     def left_mult_matrix(self, v):
-        f = self.field
-        out = linalg.zero_matrix(f, self.dim, self.dim)
-        for i, a in enumerate(v):
-            if a == 0:
-                continue
-            Li = self.left_basis_mats()[i]
-            for r in range(self.dim):
-                row = Li[r]
-                orow = out[r]
-                for c in range(self.dim):
-                    if row[c] != 0:
-                        orow[c] = f.add(orow[c], f.mul(a, row[c]))
-        return out
+        return linalg.combine_matrices(self.field, v, self.left_basis_mats(), self.dim)
 
     def right_mult_matrix(self, v):
-        f = self.field
-        out = linalg.zero_matrix(f, self.dim, self.dim)
-        for j, a in enumerate(v):
-            if a == 0:
-                continue
-            Rj = self.right_basis_mats()[j]
-            for r in range(self.dim):
-                row = Rj[r]
-                orow = out[r]
-                for c in range(self.dim):
-                    if row[c] != 0:
-                        orow[c] = f.add(orow[c], f.mul(a, row[c]))
-        return out
+        return linalg.combine_matrices(self.field, v, self.right_basis_mats(), self.dim)
 
     def is_commutative(self) -> bool:
         return all(self.table[i][j] == self.table[j][i]
@@ -262,19 +247,7 @@ class AlgebraModule:
         return self.algebra.field
 
     def action_matrix(self, v):
-        f = self.field
-        out = linalg.zero_matrix(f, self.dim, self.dim)
-        for i, a in enumerate(v):
-            if a == 0:
-                continue
-            Mi = self.mats[i]
-            for r in range(self.dim):
-                row = Mi[r]
-                orow = out[r]
-                for c in range(self.dim):
-                    if row[c] != 0:
-                        orow[c] = f.add(orow[c], f.mul(a, row[c]))
-        return out
+        return linalg.combine_matrices(self.field, v, self.mats, self.dim)
 
     def act(self, v, m):
         return linalg.mat_vec(self.field, self.action_matrix(v), m)
@@ -311,17 +284,27 @@ def validate_algebra(A: FDAlgebra) -> list[str]:
     """Associativity on all basis triples and the unit law.
 
     Returns a list of violation descriptions, empty when the data is a
-    genuine associative algebra.
+    genuine associative algebra.  (b_i b_j) b_k - b_i (b_j b_k) is summed
+    over the nonzero structure constants only, so a triple costs O(s^2)
+    field operations when each product b_i b_j has at most s nonzero
+    coordinates, and the whole check O(n^3 s^2).
     """
+    f = A.field
+    nonzero = A.nonzero_table()
     bad = []
     n = A.dim
     for i in range(n):
         for j in range(n):
-            left = A.table[i][j]
+            left = nonzero[i][j]
             for k in range(n):
-                lhs = A.mul(left, A.basis_vector(k))
-                rhs = A.mul(A.basis_vector(i), A.table[j][k])
-                if lhs != rhs:
+                diff = {}
+                for m, t in left:
+                    for q, r in nonzero[m][k]:
+                        diff[q] = f.add(diff.get(q, f.zero), f.mul(t, r))
+                for m, t in nonzero[j][k]:
+                    for q, r in nonzero[i][m]:
+                        diff[q] = f.sub(diff.get(q, f.zero), f.mul(r, t))
+                if any(c != 0 for c in diff.values()):
                     bad.append(
                         f"associativity fails on triple "
                         f"({A.labels[i]},{A.labels[j]},{A.labels[k]})")

@@ -13,6 +13,10 @@ from .errors import InputError
 # Primes accepted by the JSON loaders unless a cap flag raises the bound.
 DEFAULT_PRIME_CAP = 13
 
+# Fraction is immutable, so every rational zero and one can be these two.
+_QQ_ZERO = Fraction(0)
+_QQ_ONE = Fraction(1)
+
 
 def is_prime(n: int) -> bool:
     if n < 2:
@@ -47,11 +51,11 @@ class Field:
 
     @property
     def zero(self):
-        return 0 if self.p is not None else Fraction(0)
+        return 0 if self.p is not None else _QQ_ZERO
 
     @property
     def one(self):
-        return 1 if self.p is not None else Fraction(1)
+        return 1 if self.p is not None else _QQ_ONE
 
     def add(self, a, b):
         if self.p is not None:
@@ -78,7 +82,7 @@ class Field:
             raise ZeroDivisionError("inverse of zero")
         if self.p is not None:
             return pow(a, -1, self.p)
-        return Fraction(1) / a
+        return _QQ_ONE / a
 
     def div(self, a, b):
         return self.mul(a, self.inv(b))

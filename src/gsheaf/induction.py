@@ -162,17 +162,8 @@ class SectionBimodule:
         self.right_mats = right
 
     def right_action_matrix(self, bvec):
-        f = self.conv.field
-        out = linalg.zero_matrix(f, self.dim, self.dim)
-        for i, c in enumerate(bvec):
-            if c == 0:
-                continue
-            Mi = self.right_mats[i]
-            for r in range(self.dim):
-                for k in range(self.dim):
-                    if Mi[r][k] != 0:
-                        out[r][k] = f.add(out[r][k], f.mul(c, Mi[r][k]))
-        return out
+        return linalg.combine_matrices(self.conv.field, bvec, self.right_mats,
+                                       self.dim)
 
     def validate(self) -> list[str]:
         f = self.conv.field

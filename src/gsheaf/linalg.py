@@ -47,30 +47,45 @@ def zero_matrix(field: Field, m: int, n: int) -> list[list]:
 
 
 def mat_vec(field, M, v) -> list:
+    nz = [(j, b) for j, b in enumerate(v) if b != 0]
     out = []
     for row in M:
         acc = field.zero
-        for a, b in zip(row, v):
-            if a != 0 and b != 0:
+        for j, b in nz:
+            a = row[j]
+            if a != 0:
                 acc = field.add(acc, field.mul(a, b))
         out.append(acc)
     return out
 
 
 def mat_mul(field, A, B) -> list[list]:
+    """A B, each output row accumulated from the nonzero entries of B's rows."""
     if A and B and len(A[0]) != len(B):
         raise AlgebraError(f"matrix shapes do not compose: {len(A[0])} vs {len(B)}")
-    cols = list(zip(*B)) if B else []
+    ncols = len(B[0]) if B else 0
+    b_rows = [[(c, b) for c, b in enumerate(row) if b != 0] for row in B]
     out = []
     for row in A:
-        orow = []
-        for col in cols:
-            acc = field.zero
-            for a, b in zip(row, col):
-                if a != 0 and b != 0:
-                    acc = field.add(acc, field.mul(a, b))
-            orow.append(acc)
+        orow = zero_vector(field, ncols)
+        for a, b_row in zip(row, b_rows):
+            if a != 0:
+                for c, b in b_row:
+                    orow[c] = field.add(orow[c], field.mul(a, b))
         out.append(orow)
+    return out
+
+
+def combine_matrices(field, coeffs, mats, n: int) -> list[list]:
+    """The n x n matrix sum of coeffs[i] * mats[i] over the nonzero coeffs."""
+    out = zero_matrix(field, n, n)
+    for a, M in zip(coeffs, mats):
+        if a == 0:
+            continue
+        for row, orow in zip(M, out):
+            for c, x in enumerate(row):
+                if x != 0:
+                    orow[c] = field.add(orow[c], field.mul(a, x))
     return out
 
 

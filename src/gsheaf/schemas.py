@@ -59,6 +59,11 @@ def _resolve(value, base_dir: str, loader, kind: str):
     raise InputError(f"expected an inline {kind} object or a path string")
 
 
+def _is_index(x) -> bool:
+    """A JSON integer; true and false are not indices."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _require_known_keys(section, known, what: str, member: str) -> None:
     """Every key of an id-keyed section names a member of the structure."""
     if not isinstance(section, dict):
@@ -208,19 +213,26 @@ def sheaf_from_doc(doc: dict, base_dir: str = ".") -> GSheafOfAlgebras:
         if u not in stalks_doc:
             raise InputError(f"missing stalk at unit {u}")
         sd = stalks_doc[u]
+        if not isinstance(sd, dict):
+            raise InputError(f"stalk at {u} must be an object")
         dim = sd.get("dim")
-        if not isinstance(dim, int) or dim < 1:
+        if not _is_index(dim) or dim < 1:
             raise InputError(f"stalk at {u} needs a positive dim")
         one = _coerce_vector(f, _require(sd, "one", "stalk"), dim,
                              f"stalk unit at {u}")
         table = [[linalg.zero_vector(f, dim) for _ in range(dim)]
                  for _ in range(dim)]
-        for entry in sd.get("mul", []):
+        mul = sd.get("mul", [])
+        if not isinstance(mul, list):
+            raise InputError(f"stalk mul at {u} must be a list")
+        for entry in mul:
             if not isinstance(entry, list) or len(entry) != 3:
                 raise InputError("stalk mul entries are [i, j, coeffs]")
             i, j, coeffs = entry
-            if not (0 <= i < dim and 0 <= j < dim):
-                raise InputError(f"stalk mul index out of range at {u}")
+            if not (_is_index(i) and _is_index(j)
+                    and 0 <= i < dim and 0 <= j < dim):
+                raise InputError(f"stalk mul indices at {u} must be integers "
+                                 f"in range({dim})")
             table[i][j] = _coerce_vector(f, coeffs, dim,
                                          f"stalk product at {u}")
         labels = [f"b{k}" for k in range(dim)]
@@ -286,7 +298,7 @@ def module_from_doc(doc: dict, algebra: FDAlgebra,
     if doc.get("kind") != "module":
         raise InputError("expected a module document")
     dim = _require(doc, "dim", "module")
-    if not isinstance(dim, int) or dim < 0:
+    if not _is_index(dim) or dim < 0:
         raise InputError("module dim must be a non-negative integer")
     action = _require(doc, "action", "module")
     f = algebra.field

@@ -293,6 +293,23 @@ def test_unknown_sheaf_ids_exit_2(tmp_path, capsys, mangle):
     assert "'zz'" in out["error"]
 
 
+@pytest.mark.parametrize("mangle", [
+    lambda s: s.update(u1=5),
+    lambda s: s["u1"].update(mul=[["a", 0, [1]]]),
+    lambda s: s["u1"].update(mul=7),
+    lambda s: s["u1"].update(dim=True),
+], ids=["stalk-int", "mul-index-str", "mul-int", "dim-bool"])
+def test_malformed_stalks_exit_2(tmp_path, capsys, mangle):
+    doc = schemas.sheaf_to_doc(constant_sheaf(pair_groupoid(2),
+                                              scalar_algebra(GF(2))))
+    mangle(doc["stalks"])
+    p = write(tmp_path, "bad_stalk.json", doc)
+    code, out = run_cli(capsys, ["check", "simple", p])
+    assert code == 2
+    assert out["kind"] == "input_error"
+    assert "u1" in out["error"]
+
+
 @pytest.mark.parametrize("section", ["alpha", "domains"])
 def test_unknown_ring_action_ids_exit_2(tmp_path, capsys, section):
     doc = schemas.ring_action_to_doc(swap_ring_action())
