@@ -216,8 +216,7 @@ def cmd_verify(args) -> int:
         return _report_exit(isgring.verify_siri(G, O, args.cap_arrows))
     if what == "pierce":
         act = _load_kind(args.file, "ring_action")
-        return _report_exit(isgring.pierce_verification(
-            act, args.cap_order, args.cap_arrows))
+        return _report_exit(isgring.pierce_verification(act))
     if what == "cinza":
         act = _load_kind(args.file, "space_action")
         return _report_exit(isgring.check_cinza(act))
@@ -248,7 +247,7 @@ def cmd_fixtures(args) -> int:
     if args.action != "run":
         raise InputError("the fixtures command only knows 'run'")
     results = fixtures.run_catalog(args.filter, args.seed, args.cap_arrows,
-                                   args.cap_ideal_dim, args.cap_order)
+                                   args.cap_ideal_dim)
     if not results:
         raise InputError(f"no fixture name contains {args.filter!r}")
     doc = {name: [rep.to_json() for rep in reps]
@@ -273,8 +272,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cap-ideal-dim", type=int, default=8,
                    dest="cap_ideal_dim",
                    help="dimension cap for ideal enumeration (default 8)")
-    p.add_argument("--cap-order", type=int, default=4096, dest="cap_order",
-                   help="order cap for element exhaustions (default 4096)")
     sub = p.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("validate", help="validate any input document")

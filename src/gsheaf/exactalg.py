@@ -539,8 +539,8 @@ def _primitive_idempotents(A: FDAlgebra, one, basis):
     each e^2 = e, pairwise products 0, and the sum equal to one.
     """
     one = list(one)
-    if len(basis) == 1:
-        return [one]  # C = GF(p) one
+    if len(basis) <= 1:
+        return [one] if basis else []  # C = GF(p) one, or the zero ring
     f = A.field
     _, fixed = _frobenius(A, basis)
     parts = [one]
@@ -586,8 +586,18 @@ def _certify_idempotents(A: FDAlgebra, one, idems, count: int) -> None:
 
 def central_primitive_idempotents(A: FDAlgebra):
     """The central primitive idempotents of a unital A over GF(p): one per
-    block of A, certified by _primitive_idempotents on the centre."""
+    block of A, certified by _primitive_idempotents on the centre.
+
+    These are the minimal nonzero central idempotents, the points of the
+    Pierce spectrum.  Over the rationals only a one-dimensional centre
+    (A indecomposable, the answer [1]) is decided.
+    """
+    if A.unit is None:
+        raise AlgebraError("central idempotents need a unital algebra")
     Z = centralizer(A, Subspace.full(A.field, A.dim))
+    if not A.field.is_finite and Z.dim > 1:
+        raise CapExceeded(f"central idempotents of a {Z.dim}-dimensional "
+                          "centre need a finite base field")
     return _primitive_idempotents(A, A.unit, [list(b) for b in Z.basis])
 
 

@@ -17,7 +17,7 @@ from . import convalg, exactalg, induction, isgring, linalg, sheaf as sheafmod
 from .convalg import ConvAlgebra, build_conv_algebra
 from .errors import CapExceeded, InputError
 from .exactalg import FDAlgebra, Subspace, scalar_algebra
-from .fields import Field, GF, QQ
+from .fields import GF, QQ
 from .groupoid import (ARROW_CAP, FiniteGroupoid, bisection_semigroup,
                        is_effective, is_minimal)
 from .isgring import (FiniteInverseSemigroup, PartialGroupAction,
@@ -741,9 +741,13 @@ def vnr_diagonal_report(O: GSheafOfAlgebras) -> Report:
     return rep
 
 
-def _sheaf_battery(fix: Fixture, G: FiniteGroupoid, O: GSheafOfAlgebras,
-                   seed: int, arrow_cap: int, ideal_cap: int,
-                   order_cap: int) -> list[Report]:
+# Each battery takes the built fixture, the seed and the arrow and ideal
+# caps, and returns (reports, getters): the reports it always runs and
+# the getters its stored expectations are compared with.
+
+
+def _sheaf_battery(built, seed: int, arrow_cap: int, ideal_cap: int):
+    G, O = built
     conv = build_conv_algebra(G, O)
     reports = [
         convalg.check_convolution_table(conv),
@@ -759,7 +763,6 @@ def _sheaf_battery(fix: Fixture, G: FiniteGroupoid, O: GSheafOfAlgebras,
         induction.check_disintegration(conv, exactalg.regular_module(
             conv.algebra)),
     ]
-
     getters = {
         "dim": lambda: conv.dim,
         "n_ideals": lambda: len(exactalg.enumerate_two_sided_ideals(
@@ -777,9 +780,7 @@ def _sheaf_battery(fix: Fixture, G: FiniteGroupoid, O: GSheafOfAlgebras,
             G, arrow_cap)[0].elements),
         "siri_dims": lambda: _siri_dims(G, O, arrow_cap),
     }
-    for key in fix.expected:
-        reports.append(_expected_report(fix, key, getters[key]))
-    return reports
+    return reports, getters
 
 
 def _siri_dims(G, O, arrow_cap):
@@ -787,9 +788,8 @@ def _siri_dims(G, O, arrow_cap):
     return (data.skew.L.dim, data.skew.N.dim, data.skew.quotient.dim)
 
 
-def _space_battery(fix: Fixture, act: SpaceAction, seed: int,
-                   arrow_cap: int, ideal_cap: int,
-                   order_cap: int) -> list[Report]:
+def _space_battery(act: SpaceAction, seed: int, arrow_cap: int,
+                   ideal_cap: int):
     reports = [
         isgring.check_cinza(act),
         isgring.check_orbit_correspondence(act),
@@ -802,14 +802,11 @@ def _space_battery(fix: Fixture, act: SpaceAction, seed: int,
         "germ_arrows": lambda: len(germ_groupoid(act).groupoid.arrows),
         "effective_germ": lambda: is_effective(germ_groupoid(act).groupoid),
     }
-    for key in fix.expected:
-        reports.append(_expected_report(fix, key, getters[key]))
-    return reports
+    return reports, getters
 
 
-def _partial_battery(fix: Fixture, act: PartialGroupAction, field: Field,
-                     seed: int, arrow_cap: int, ideal_cap: int,
-                     order_cap: int) -> list[Report]:
+def _partial_battery(built, seed: int, arrow_cap: int, ideal_cap: int):
+    act, field = built
     reports = [isgring.verify_partial_crossed(act, field, arrow_cap)]
     getters = {
         "tg_arrows": lambda: len(
@@ -821,57 +818,50 @@ def _partial_battery(fix: Fixture, act: PartialGroupAction, field: Field,
         "quotient_dim": lambda: isgring.skew_isg_ring(
             isgring.dual_ring_action(act, field)).quotient.dim,
     }
-    for key in fix.expected:
-        reports.append(_expected_report(fix, key, getters[key]))
-    return reports
+    return reports, getters
 
 
-def _ring_battery(fix: Fixture, act: SpectralRingAction, seed: int,
-                  arrow_cap: int, ideal_cap: int,
-                  order_cap: int) -> list[Report]:
-    reports = [isgring.pierce_verification(act, order_cap, arrow_cap)]
+def _ring_battery(act: SpectralRingAction, seed: int, arrow_cap: int,
+                  ideal_cap: int):
+    reports = [isgring.pierce_verification(act)]
     getters = {
-        "n_atoms": lambda: len(isgring.pierce_atoms(act.algebra, order_cap)),
+        "n_atoms": lambda: len(isgring.pierce_atoms(act.algebra)),
         "germ_arrows": lambda: len(isgring.pierce_data(
-            act, order_cap, arrow_cap).germ.groupoid.arrows),
+            act).germ.groupoid.arrows),
         "quotient_dim": lambda: isgring.skew_isg_ring(act).quotient.dim,
     }
-    for key in fix.expected:
-        reports.append(_expected_report(fix, key, getters[key]))
-    return reports
+    return reports, getters
+
+
+BATTERIES = {
+    "sheaf": _sheaf_battery,
+    "space_action": _space_battery,
+    "partial_action": _partial_battery,
+    "ring_action": _ring_battery,
+}
 
 
 def run_fixture(name: str, seed: int = 0, arrow_cap: int = ARROW_CAP,
-                ideal_cap: int = exactalg.IDEAL_DIM_CAP,
-                order_cap: int = isgring.CENTRAL_ORDER_CAP) -> list[Report]:
+                ideal_cap: int = exactalg.IDEAL_DIM_CAP) -> list[Report]:
     """Build the named fixture and run its whole battery of checks."""
     fix = get_fixture(name)
-    if fix.kind == "sheaf":
-        G, O = fix.build()
-        return _sheaf_battery(fix, G, O, seed, arrow_cap, ideal_cap,
-                              order_cap)
-    if fix.kind == "space_action":
-        return _space_battery(fix, fix.build(), seed, arrow_cap, ideal_cap,
-                              order_cap)
-    if fix.kind == "partial_action":
-        act, field = fix.build()
-        return _partial_battery(fix, act, field, seed, arrow_cap, ideal_cap,
-                                order_cap)
-    if fix.kind == "ring_action":
-        return _ring_battery(fix, fix.build(), seed, arrow_cap, ideal_cap,
-                             order_cap)
-    raise InputError(f"unknown fixture kind {fix.kind}")
+    if fix.kind not in BATTERIES:
+        raise InputError(f"unknown fixture kind {fix.kind}")
+    reports, getters = BATTERIES[fix.kind](fix.build(), seed, arrow_cap,
+                                           ideal_cap)
+    for key in fix.expected:
+        reports.append(_expected_report(fix, key, getters[key]))
+    return reports
 
 
 def run_catalog(name_filter: str | None = None, seed: int = 0,
                 arrow_cap: int = ARROW_CAP,
-                ideal_cap: int = exactalg.IDEAL_DIM_CAP,
-                order_cap: int = isgring.CENTRAL_ORDER_CAP) -> dict:
+                ideal_cap: int = exactalg.IDEAL_DIM_CAP) -> dict:
     """Reports for every fixture whose name contains the filter,
     keyed by fixture name in sorted order."""
     out = {}
     for name in catalog_names():
         if name_filter and name_filter not in name:
             continue
-        out[name] = run_fixture(name, seed, arrow_cap, ideal_cap, order_cap)
+        out[name] = run_fixture(name, seed, arrow_cap, ideal_cap)
     return out

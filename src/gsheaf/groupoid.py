@@ -130,30 +130,32 @@ def require_valid_groupoid(G: FiniteGroupoid) -> None:
         raise InputError("; ".join(bad[:3]))
 
 
+def equivalence_classes(items, pairs) -> list[list]:
+    """Classes of the equivalence relation on items generated by pairs,
+    by union-find: classes in order of first appearance in items, and
+    each class in item order."""
+    parent = {x: x for x in items}
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for x, y in pairs:
+        rx, ry = find(x), find(y)
+        if rx != ry:
+            parent[ry] = rx
+    classes: dict = {}
+    for x in items:
+        classes.setdefault(find(x), []).append(x)
+    return list(classes.values())
+
+
 def orbits(G: FiniteGroupoid) -> list[list]:
     """Partition of the units; orbit lists keep unit input order."""
-    parent = {u: u for u in G.units}
-
-    def find(u):
-        while parent[u] != u:
-            parent[u] = parent[parent[u]]
-            u = parent[u]
-        return u
-
-    for a in G.arrows:
-        ra, rb = find(G.src[a]), find(G.dst[a])
-        if ra != rb:
-            parent[ra] = rb
-    buckets: dict = {}
-    for u in G.units:
-        buckets.setdefault(find(u), []).append(u)
-    seen, out = set(), []
-    for u in G.units:
-        r = find(u)
-        if r not in seen:
-            seen.add(r)
-            out.append(buckets[r])
-    return out
+    return equivalence_classes(G.units,
+                               ((G.src[a], G.dst[a]) for a in G.arrows))
 
 
 def orbit_of(G: FiniteGroupoid, x) -> list:

@@ -36,12 +36,11 @@ from .errors import AlgebraError, CapExceeded, CheckFailure, InputError
 from .exactalg import FDAlgebra, Subspace
 from .fields import Field
 from .groupoid import (ARROW_CAP, FiniteGroupoid, bisection_semigroup,
-                       is_effective, orbits, require_valid_groupoid)
+                       equivalence_classes, is_effective, orbits,
+                       require_valid_groupoid)
 from .reports import Report, skip_report
 from .sheaf import (GSheafOfAlgebras, constant_sheaf, is_sheaf_of_fields,
                     validate_sheaf)
-
-CENTRAL_ORDER_CAP = 2 ** 12
 
 
 class FiniteInverseSemigroup:
@@ -455,23 +454,9 @@ def validate_space_action(act: SpaceAction) -> list[str]:
 
 def action_orbits(act: SpaceAction) -> list[list]:
     """Orbit partition of the points, in input order."""
-    parent = {x: x for x in act.points}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for s in act.semigroup.elements:
-        for x, y in act.theta[s].items():
-            rx, ry = find(x), find(y)
-            if rx != ry:
-                parent[ry] = rx
-    buckets = {}
-    for x in act.points:
-        buckets.setdefault(find(x), []).append(x)
-    return [buckets[r] for r in sorted(buckets, key=act.pos.get)]
+    return equivalence_classes(
+        act.points, (xy for s in act.semigroup.elements
+                     for xy in act.theta[s].items()))
 
 
 def is_minimal_action(act: SpaceAction) -> bool:
@@ -512,7 +497,6 @@ def germ_groupoid(act: SpaceAction) -> GermData:
         raise InputError("idempotent domains do not cover the space")
 
     pairs = [(s, x) for s in S.elements for x in X if x in act.source_set(s)]
-    pair_index = {p: i for i, p in enumerate(pairs)}
     leq = {(u, s): S.natural_leq(u, s)
            for u in S.elements for s in S.elements}
     below_at = {}
@@ -522,40 +506,18 @@ def germ_groupoid(act: SpaceAction) -> GermData:
                 u for u in S.elements
                 if leq[u, s] and x in act.source_set(u))
 
-    def related(p, q):
-        return p[1] == q[1] and below_at[p] & below_at[q]
-
-    # union-find over the verified relation
-    parent = list(range(len(pairs)))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
     rel = {}
     for i, p in enumerate(pairs):
-        for j in range(i + 1, len(pairs)):
-            q = pairs[j]
-            if p[1] != q[1]:
-                continue
-            r = bool(related(p, q))
-            rel[i, j] = r
-            if r:
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[rj] = ri
+        for q in pairs[i + 1:]:
+            if p[1] == q[1]:
+                rel[p, q] = bool(below_at[p] & below_at[q])
+    class_list = equivalence_classes(pairs, [pq for pq, r in rel.items() if r])
+    class_of = {p: k for k, cls in enumerate(class_list) for p in cls}
     # transitivity of the germ relation is a theorem about honest
     # actions, not an assumption about the input
-    for (i, j), r in rel.items():
-        if find(i) == find(j) and not r:
-            raise InputError("germ relation is not transitive")
-
-    classes = {}
-    for i, p in enumerate(pairs):
-        classes.setdefault(find(i), []).append(p)
-    class_list = [tuple(classes[r]) for r in sorted(classes)]
+    if any(class_of[p] == class_of[q] and not r for (p, q), r in rel.items()):
+        raise InputError("germ relation is not transitive")
+    class_list = [tuple(cls) for cls in class_list]
 
     idem = set(S.idempotents())
     label_of = {}
@@ -827,48 +789,14 @@ def verify_siri(G: FiniteGroupoid, O: GSheafOfAlgebras,
 # Pierce spectrum realization
 
 
-def central_idempotents(A: FDAlgebra,
-                        order_cap: int = CENTRAL_ORDER_CAP) -> list:
-    """All central idempotents, by exhausting the center (capped)."""
+def pierce_atoms(A: FDAlgebra) -> list:
+    """Minimal nonzero central idempotents of a unital A, the points of
+    its Pierce spectrum: exactalg.central_primitive_idempotents (certified
+    orthogonal and summing to the identity), ordered by their encoded
+    coefficient tuples."""
     f = A.field
-    Z = exactalg.centralizer(A, Subspace.full(f, A.dim))
-    if not f.is_finite:
-        raise CapExceeded("central idempotent enumeration needs a finite field")
-    if f.order ** Z.dim > order_cap:
-        raise CapExceeded(
-            f"center has {f.order ** Z.dim} elements, cap {order_cap}")
-    found = []
-    for coeffs in itertools.product(f.elements(), repeat=Z.dim):
-        v = linalg.zero_vector(f, A.dim)
-        for k, c in enumerate(coeffs):
-            if c != 0:
-                v = linalg.vec_add(f, v, linalg.vec_scale(f, c, list(Z.basis[k])))
-        if A.mul(v, v) == v:
-            found.append(v)
-    found.sort(key=lambda v: tuple(f.encode(c) for c in v))
-    return found
-
-
-def pierce_atoms(A: FDAlgebra, order_cap: int = CENTRAL_ORDER_CAP) -> list:
-    """Minimal nonzero central idempotents; they are orthogonal and sum
-    to the identity (hard assertion)."""
-    f = A.field
-    cents = [e for e in central_idempotents(A, order_cap)
-             if not linalg.vec_is_zero(e)]
-    atoms = []
-    for e in cents:
-        if all(g == e or linalg.vec_is_zero(A.mul(g, e))
-               or A.mul(g, e) != g for g in cents):
-            atoms.append(e)
-    total = linalg.zero_vector(f, A.dim)
-    for i, e in enumerate(atoms):
-        for g in atoms[i + 1:]:
-            if not linalg.vec_is_zero(A.mul(e, g)):
-                raise CheckFailure("atoms are not orthogonal")
-        total = linalg.vec_add(f, total, e)
-    if A.unit is not None and total != list(A.unit):
-        raise CheckFailure("atoms do not sum to the identity")
-    return atoms
+    return sorted(exactalg.central_primitive_idempotents(A),
+                  key=lambda v: tuple(f.encode(c) for c in v))
 
 
 class PierceData:
@@ -886,9 +814,7 @@ class PierceData:
         self.map_quotient = map_quotient
 
 
-def pierce_data(act: SpectralRingAction,
-                order_cap: int = CENTRAL_ORDER_CAP,
-                arrow_cap: int = ARROW_CAP) -> PierceData:
+def pierce_data(act: SpectralRingAction) -> PierceData:
     """Realize the skew ring as a convolution algebra over the germ
     groupoid of the induced action on the Pierce atoms.
 
@@ -897,9 +823,7 @@ def pierce_data(act: SpectralRingAction,
     """
     S, A = act.semigroup, act.algebra
     f = A.field
-    if A.unit is None:
-        raise InputError("Pierce realization needs a unital ring")
-    atoms = pierce_atoms(A, order_cap)
+    atoms = pierce_atoms(A)
     atom_ids = [f"e{i}" for i in range(len(atoms))]
     by_vec = {tuple(e): atom_ids[i] for i, e in enumerate(atoms)}
     vec_of = {atom_ids[i]: atoms[i] for i in range(len(atoms))}
@@ -976,13 +900,11 @@ def pierce_data(act: SpectralRingAction,
                       map_L, map_quotient)
 
 
-def pierce_verification(act: SpectralRingAction,
-                        order_cap: int = CENTRAL_ORDER_CAP,
-                        arrow_cap: int = ARROW_CAP) -> Report:
+def pierce_verification(act: SpectralRingAction) -> Report:
     """Skew ring of a spectral action vs convolution algebra over the
     germ groupoid of the Pierce-atom action."""
     try:
-        data = pierce_data(act, order_cap, arrow_cap)
+        data = pierce_data(act)
     except CapExceeded as exc:
         return skip_report("pierce", {}, caps_hit=[str(exc)])
     except CheckFailure as exc:

@@ -64,6 +64,34 @@ def _is_index(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+def _require_list(value, what: str) -> list:
+    if not isinstance(value, list):
+        raise InputError(f"{what} must be a list")
+    return value
+
+
+def _require_id(x, what: str) -> None:
+    """Ids are strings or integers, so they can be keys."""
+    if not isinstance(x, (str, int)):
+        raise InputError(f"{what} must be strings or integers, got {x!r}")
+
+
+def _require_ids(value, what: str) -> list:
+    for x in _require_list(value, what):
+        _require_id(x, what)
+    return value
+
+
+def _id_tuples(value, n: int, what: str) -> list[tuple]:
+    """A list of n-element lists of ids, as tuples."""
+    out = []
+    for entry in _require_list(value, what):
+        if not isinstance(entry, list) or len(entry) != n:
+            raise InputError(f"{what} entries are lists of {n} ids")
+        out.append(tuple(_require_ids(entry, what)))
+    return out
+
+
 def _require_known_keys(section, known, what: str, member: str) -> None:
     """Every key of an id-keyed section names a member of the structure."""
     if not isinstance(section, dict):
@@ -120,27 +148,18 @@ def _encode_matrix(f: Field, M):
 # groupoids
 
 
-def _require_id(x) -> None:
-    """Unit and arrow ids are strings or integers, so they can be keys."""
-    if not isinstance(x, (str, int)):
-        raise InputError(f"groupoid ids must be strings or integers, got {x!r}")
-
-
 def groupoid_from_doc(doc: dict, base_dir: str = ".") -> FiniteGroupoid:
     if doc.get("kind") != "groupoid":
         raise InputError("expected a groupoid document")
-    units = _require(doc, "units", "groupoid")
-    arrows_doc = _require(doc, "arrows", "groupoid")
-    if not isinstance(units, list) or not isinstance(arrows_doc, list):
-        raise InputError("groupoid units and arrows must be lists")
-    for u in units:
-        _require_id(u)
+    units = _require_ids(_require(doc, "units", "groupoid"), "groupoid units")
+    arrows_doc = _require_list(_require(doc, "arrows", "groupoid"),
+                               "groupoid arrows")
     arrows, src, dst = [], {}, {}
     for a in arrows_doc:
         if not isinstance(a, dict) or {"id", "src", "dst"} - set(a):
             raise InputError("each arrow needs id, src and dst")
         for key in ("id", "src", "dst"):
-            _require_id(a[key])
+            _require_id(a[key], "groupoid ids")
         arrows.append(a["id"])
         src[a["id"]] = a["src"]
         dst[a["id"]] = a["dst"]
@@ -149,12 +168,7 @@ def groupoid_from_doc(doc: dict, base_dir: str = ".") -> FiniteGroupoid:
             raise InputError(f"unit {u} has no identity arrow listed")
     unit_set = set(units)
     compose = {}
-    for triple in doc.get("compose", []):
-        if not isinstance(triple, list) or len(triple) != 3:
-            raise InputError("compose entries are [later, earlier, product]")
-        b, r, br = triple
-        for x in triple:
-            _require_id(x)
+    for b, r, br in _id_tuples(doc.get("compose", []), 3, "compose"):
         if (b, r) in compose and compose[b, r] != br:
             raise InputError(f"conflicting compositions for ({b},{r})")
         compose[b, r] = br
@@ -163,13 +177,7 @@ def groupoid_from_doc(doc: dict, base_dir: str = ".") -> FiniteGroupoid:
             compose.setdefault((dst[a], a), a)
         if src[a] in unit_set:
             compose.setdefault((a, src[a]), a)
-    inverse = {}
-    for pair in doc.get("inverse", []):
-        if not isinstance(pair, list) or len(pair) != 2:
-            raise InputError("inverse entries are [arrow, inverse]")
-        for x in pair:
-            _require_id(x)
-        inverse[pair[0]] = pair[1]
+    inverse = dict(_id_tuples(doc.get("inverse", []), 2, "inverse"))
     for u in units:
         inverse.setdefault(u, u)
     G = FiniteGroupoid(units, arrows, src, dst, compose, inverse)
@@ -350,13 +358,13 @@ def algebra_from_doc(doc: dict, base_dir: str = ".") -> FDAlgebra:
     if doc.get("kind") != "algebra":
         raise InputError("expected an algebra document")
     f = field_from_doc(_require(doc, "field", "algebra"))
-    labels = _require(doc, "labels", "algebra")
+    labels = _require_ids(_require(doc, "labels", "algebra"), "algebra labels")
     dim = len(labels)
     table_doc = _require(doc, "table", "algebra")
-    if len(table_doc) != dim:
+    if not isinstance(table_doc, list) or len(table_doc) != dim:
         raise InputError("algebra table has the wrong number of rows")
-    table = [[_coerce_vector(f, table_doc[i][j], dim, "structure constants")
-              for j in range(dim)] for i in range(dim)]
+    table = [_coerce_matrix(f, row, dim, dim, f"table[{i}]")
+             for i, row in enumerate(table_doc)]
     unit = doc.get("unit")
     if unit is not None:
         unit = _coerce_vector(f, unit, dim, "algebra unit")
@@ -372,22 +380,17 @@ def inverse_semigroup_from_doc(doc: dict,
     if doc.get("kind") != "inverse_semigroup":
         raise InputError("expected an inverse_semigroup document")
     if "partial_injections" in doc:
-        symbols = doc["partial_injections"]
-        if not isinstance(symbols, list) or not symbols:
+        symbols = _require_ids(doc["partial_injections"], "partial_injections")
+        if not symbols:
             raise InputError("partial_injections must list the symbols")
         S, _ = symmetric_inverse_monoid(symbols)
         return S
-    elements = _require(doc, "elements", "inverse_semigroup")
-    mul = {}
-    for triple in _require(doc, "mul", "inverse_semigroup"):
-        if not isinstance(triple, list) or len(triple) != 3:
-            raise InputError("mul entries are [s, t, st]")
-        mul[triple[0], triple[1]] = triple[2]
-    star = {}
-    for pair in _require(doc, "star", "inverse_semigroup"):
-        if not isinstance(pair, list) or len(pair) != 2:
-            raise InputError("star entries are [s, s*]")
-        star[pair[0]] = pair[1]
+    elements = _require_ids(_require(doc, "elements", "inverse_semigroup"),
+                            "semigroup elements")
+    mul = {(s, t): st for s, t, st in _id_tuples(
+        _require(doc, "mul", "inverse_semigroup"), 3, "mul")}
+    star = dict(_id_tuples(_require(doc, "star", "inverse_semigroup"), 2,
+                           "star"))
     return FiniteInverseSemigroup(elements, mul, star)
 
 
@@ -400,15 +403,24 @@ def inverse_semigroup_to_doc(S: FiniteInverseSemigroup) -> dict:
     }
 
 
-def _theta_from_doc(pairs, what: str) -> dict:
-    th = {}
-    for pair in pairs:
-        if not isinstance(pair, list) or len(pair) != 2:
-            raise InputError(f"{what} entries are [x, y] pairs")
-        if pair[0] in th:
-            raise InputError(f"{what} maps {pair[0]} twice")
-        th[pair[0]] = pair[1]
-    return th
+def _partial_bijections(doc: dict, elements, kind: str, member: str):
+    """(points, domain, theta) of a space or partial group action document;
+    domains and theta are objects keyed by elements."""
+    points = _require_ids(_require(doc, "space", kind), "space")
+    domains_doc = _require(doc, "domains", kind)
+    theta_doc = _require(doc, "theta", kind)
+    for section, name in ((domains_doc, "domains"), (theta_doc, "theta")):
+        _require_known_keys(section, elements, name, member)
+    domain, theta = {}, {}
+    for s in elements:
+        domain[s] = frozenset(_require_ids(domains_doc.get(s, []),
+                                           f"domains[{s}]"))
+        theta[s] = {}
+        for x, y in _id_tuples(theta_doc.get(s, []), 2, f"theta[{s}]"):
+            if x in theta[s]:
+                raise InputError(f"theta[{s}] maps {x} twice")
+            theta[s][x] = y
+    return points, domain, theta
 
 
 def space_action_from_doc(doc: dict, base_dir: str = ".") -> SpaceAction:
@@ -416,12 +428,8 @@ def space_action_from_doc(doc: dict, base_dir: str = ".") -> SpaceAction:
         raise InputError("expected a space_action document")
     S = _resolve(_require(doc, "semigroup", "space_action"), base_dir,
                  inverse_semigroup_from_doc, "inverse_semigroup")
-    points = _require(doc, "space", "space_action")
-    domains_doc = _require(doc, "domains", "space_action")
-    theta_doc = _require(doc, "theta", "space_action")
-    domain = {s: frozenset(domains_doc.get(s, [])) for s in S.elements}
-    theta = {s: _theta_from_doc(theta_doc.get(s, []), f"theta[{s}]")
-             for s in S.elements}
+    points, domain, theta = _partial_bijections(
+        doc, S.elements, "space_action", "an element of the semigroup")
     return SpaceAction(S, points, domain, theta)
 
 
@@ -454,8 +462,9 @@ def ring_action_from_doc(doc: dict, base_dir: str = ".") -> SpectralRingAction:
                             "an element of the semigroup")
     domain, alpha = {}, {}
     for s in S.elements:
+        gens = _require_list(domains_doc.get(s, []), f"domains[{s}]")
         vecs = [_coerce_vector(f, v, A.dim, f"domain generator of {s}")
-                for v in domains_doc.get(s, [])]
+                for v in gens]
         domain[s] = Subspace.from_vectors(f, A.dim, vecs)
         if s in alpha_doc:
             alpha[s] = _coerce_matrix(f, alpha_doc[s], A.dim, A.dim,
@@ -483,19 +492,16 @@ def partial_group_action_from_doc(doc: dict,
     if doc.get("kind") != "partial_group_action":
         raise InputError("expected a partial_group_action document")
     group = _require(doc, "group", "partial_group_action")
-    elements = _require(group, "elements", "group")
+    if not isinstance(group, dict):
+        raise InputError("partial_group_action group must be an object")
+    elements = _require_ids(_require(group, "elements", "group"),
+                            "group elements")
     unit = _require(group, "unit", "group")
-    mul = {}
-    for triple in _require(group, "mul", "group"):
-        if not isinstance(triple, list) or len(triple) != 3:
-            raise InputError("group mul entries are [a, b, ab]")
-        mul[triple[0], triple[1]] = triple[2]
-    points = _require(doc, "space", "partial_group_action")
-    domains_doc = _require(doc, "domains", "partial_group_action")
-    theta_doc = _require(doc, "theta", "partial_group_action")
-    domain = {g: frozenset(domains_doc.get(g, [])) for g in elements}
-    theta = {g: _theta_from_doc(theta_doc.get(g, []), f"theta[{g}]")
-             for g in elements}
+    _require_id(unit, "group unit")
+    mul = {(a, b): ab for a, b, ab in _id_tuples(
+        _require(group, "mul", "group"), 3, "group mul")}
+    points, domain, theta = _partial_bijections(
+        doc, elements, "partial_group_action", "an element of the group")
     return PartialGroupAction(elements, mul, unit, points, domain, theta)
 
 

@@ -12,13 +12,10 @@ skipping them silently.
 from __future__ import annotations
 
 from . import exactalg, linalg
-from .errors import CapExceeded, InputError
+from .errors import InputError
 from .exactalg import FDAlgebra
 from .fields import Field
 from .groupoid import FiniteGroupoid
-
-INDECOMPOSABLE_ORDER_CAP = 2**12
-
 
 class GSheafOfAlgebras:
     def __init__(self, groupoid: FiniteGroupoid, field: Field, stalks, alpha):
@@ -188,33 +185,10 @@ def diagonal_vnr(O: GSheafOfAlgebras):
     return True, None
 
 
-def has_nontrivial_central_idempotent(A: FDAlgebra,
-                                      order_cap: int = INDECOMPOSABLE_ORDER_CAP) -> bool:
-    """Any central idempotent besides 0 and 1?  Exhaustive, capped."""
-    if A.unit is None:
-        raise InputError("indecomposability test needs a unital algebra")
-    if not A.field.is_finite:
-        if A.dim == 1:
-            return False
-        raise CapExceeded("central idempotent search over the rationals "
-                          "is only decided in dim 1")
-    if A.order() > order_cap:
-        raise CapExceeded(f"central idempotent search capped at order {order_cap}")
-    one = list(A.unit)
-    for v in A.elements():
-        v = list(v)
-        if linalg.vec_is_zero(v) or v == one:
-            continue
-        if A.mul(v, v) != v:
-            continue
-        if all(A.mul(v, A.basis_vector(i)) == A.mul(A.basis_vector(i), v)
-               for i in range(A.dim)):
-            return True
-    return False
-
-
 def is_sheaf_of_indecomposables(O: GSheafOfAlgebras) -> bool:
-    return not any(has_nontrivial_central_idempotent(O.stalk[u])
+    """No stalk has a central idempotent besides 0 and 1, that is, none
+    has more than one central primitive idempotent."""
+    return not any(len(exactalg.central_primitive_idempotents(O.stalk[u])) > 1
                    for u in O.groupoid.units)
 
 

@@ -13,7 +13,7 @@ from gsheaf.fields import GF
 from gsheaf.fixtures import (cyclic_mul, dual_numbers, galois_sheaf,
                              group_groupoid, pair_groupoid, partial_swap_action,
                              scalar_algebra, swap_action, swap_ring_action,
-                             t1_groupoid, trivial_z2_action)
+                             t1_groupoid, trivial_z2_action, z2_isg)
 from gsheaf.induction import isotropy_ring
 from gsheaf.sheaf import constant_sheaf
 
@@ -266,8 +266,9 @@ def test_fixtures_run_and_determinism(capsys):
     lambda g: g["arrows"][0].update(src=["x"]),
     lambda g: g.update(compose=[[["x"], "x", "x"]]),
     lambda g: g.update(inverse=[["x", None]]),
+    lambda g: g.update(compose=5),
 ], ids=["unit-list", "units-int", "arrow-id-dict", "src-list",
-        "compose-list", "inverse-null"])
+        "compose-list", "inverse-null", "compose-int"])
 def test_malformed_groupoid_ids_exit_2(tmp_path, capsys, mangle):
     doc = schemas.sheaf_to_doc(constant_sheaf(t1_groupoid(1),
                                               scalar_algebra(GF(2))))
@@ -319,6 +320,77 @@ def test_unknown_ring_action_ids_exit_2(tmp_path, capsys, section):
     assert code == 2
     assert out["kind"] == "input_error"
     assert "'zz'" in out["error"]
+
+
+def _action_doc(kind):
+    if kind == "space_action":
+        return schemas.space_action_to_doc(swap_action())
+    return schemas.partial_group_action_to_doc(partial_swap_action())
+
+
+@pytest.mark.parametrize("kind", ["space_action", "partial_group_action"])
+@pytest.mark.parametrize("mangle", [
+    lambda d: d.update(domains=["a"]),
+    lambda d: d.update(theta=5),
+    lambda d: d["theta"].update(g=5),
+    lambda d: d.update(space=5),
+    lambda d: d["domains"].update(zz=["a"]),
+    lambda d: d["theta"].update(zz=[]),
+], ids=["domains-list", "theta-int", "theta-entry-int", "space-int",
+        "domains-unknown-key", "theta-unknown-key"])
+def test_malformed_actions_exit_2(tmp_path, capsys, kind, mangle):
+    doc = _action_doc(kind)
+    mangle(doc)
+    p = write(tmp_path, "bad_action.json", doc)
+    code, out = run_cli(capsys, ["validate", p])
+    assert code == 2
+    assert out["kind"] == "input_error"
+
+
+def test_partial_group_action_list_unit_exits_2(tmp_path, capsys):
+    doc = _action_doc("partial_group_action")
+    doc["group"]["unit"] = ["1"]
+    p = write(tmp_path, "bad_unit.json", doc)
+    code, out = run_cli(capsys, ["validate", p])
+    assert code == 2
+    assert out["kind"] == "input_error"
+
+
+@pytest.mark.parametrize("mangle", [
+    lambda d: d.update(labels=5),
+    lambda d: d["table"].__setitem__(0, 5),
+    lambda d: d.update(labels=[["1"], ["u"]]),
+], ids=["labels-int", "table-row-int", "labels-list"])
+def test_malformed_algebras_exit_2(tmp_path, capsys, mangle):
+    doc = schemas.algebra_to_doc(dual_numbers())
+    mangle(doc)
+    p = write(tmp_path, "bad_algebra.json", doc)
+    code, out = run_cli(capsys, ["validate", p])
+    assert code == 2
+    assert out["kind"] == "input_error"
+
+
+@pytest.mark.parametrize("mangle", [
+    lambda d: d.update(mul=5),
+    lambda d: d.update(star=5),
+    lambda d: d.update(elements=[["1"], ["g"]]),
+], ids=["mul-int", "star-int", "elements-list"])
+def test_malformed_inverse_semigroups_exit_2(tmp_path, capsys, mangle):
+    doc = schemas.inverse_semigroup_to_doc(z2_isg())
+    mangle(doc)
+    p = write(tmp_path, "bad_semigroup.json", doc)
+    code, out = run_cli(capsys, ["validate", p])
+    assert code == 2
+    assert out["kind"] == "input_error"
+
+
+def test_non_list_ring_action_domain_exits_2(tmp_path, capsys):
+    doc = schemas.ring_action_to_doc(swap_ring_action())
+    doc["domains"]["g"] = 5
+    p = write(tmp_path, "bad_domain.json", doc)
+    code, out = run_cli(capsys, ["verify", "pierce", p])
+    assert code == 2
+    assert out["kind"] == "input_error"
 
 
 def test_unknown_subcommand_usage_error():

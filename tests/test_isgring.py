@@ -109,6 +109,18 @@ def test_action_orbits():
     assert not is_minimal_action(identity_only_action())
 
 
+def test_action_orbits_in_order_of_first_appearance():
+    # g swaps a and c and lists c -> a first; the orbit of a still leads
+    pts = ["a", "b", "c"]
+    act = SpaceAction(z2_isg(), pts,
+                      {"1": frozenset(pts), "g": frozenset(pts)},
+                      {"1": {x: x for x in pts},
+                       "g": {"c": "a", "b": "b", "a": "c"}})
+    assert action_orbits(act) == [["a", "c"], ["b"]]
+    germ = germ_groupoid(act)
+    assert orbits(germ.groupoid) == [["a", "c"], ["b"]]
+
+
 def test_germ_groupoid_of_swap():
     germ = germ_groupoid(swap_action())
     G = germ.groupoid
