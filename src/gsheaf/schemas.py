@@ -311,10 +311,9 @@ def module_from_doc(doc: dict, algebra: FDAlgebra,
     action = _require(doc, "action", "module")
     f = algebra.field
     by_string = {module_label(lab): i for i, lab in enumerate(algebra.labels)}
+    _require_known_keys(action, by_string, "action", "an algebra basis label")
     mats = [None] * algebra.dim
     for key, M in action.items():
-        if key not in by_string:
-            raise InputError(f"action label {key} is not an algebra basis label")
         mats[by_string[key]] = _coerce_matrix(f, M, dim, dim,
                                               f"action of {key}")
     for i, M in enumerate(mats):

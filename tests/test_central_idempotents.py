@@ -124,12 +124,6 @@ def test_pierce_atoms_match_the_centre_scan(algebras):
         assert pierce_atoms(A) == scan_atoms(A), repr(A)
 
 
-def test_stock_atom_counts():
-    counts = {name: len(pierce_atoms(build())) for name, build in STOCK}
-    assert counts == {"diag_f2_squared": 2, "M2(F2)xF2": 2, "F2[S3]": 2,
-                      "F3[Z2]": 2}
-
-
 def test_indecomposables_match_the_centre_scan(algebras):
     for A in algebras:
         O = constant_sheaf(t1_groupoid(1), A)

@@ -241,6 +241,16 @@ def test_verify_disintegration(tmp_path, capsys):
     assert code == 0
 
 
+def test_non_object_module_action_exits_2(tmp_path, capsys):
+    p2 = const_doc(tmp_path, pair_groupoid(2), 3, "p2q.json")
+    mpath = write(tmp_path, "bad_module.json",
+                  {"kind": "module", "dim": 1, "action": [[1]]})
+    code, out = run_cli(capsys, ["verify", "disintegration", p2,
+                                 "--module", mpath])
+    assert code == 2
+    assert out["kind"] == "input_error"
+
+
 def test_fixtures_run_and_determinism(capsys):
     code = main(["fixtures", "run", "--filter", "GAL"])
     out1 = capsys.readouterr().out
