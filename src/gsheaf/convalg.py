@@ -14,7 +14,7 @@ characteristic function of the unit space.  Basis labels are pairs
 from __future__ import annotations
 
 from . import exactalg, linalg, sheaf as sheafmod
-from .errors import CapExceeded, CheckFailure, InputError
+from .errors import CapExceeded, CheckFailure
 from .exactalg import FDAlgebra, Subspace
 from .groupoid import FiniteGroupoid, bisection_semigroup, bisection_product, is_minimal
 from .reports import Report
@@ -139,25 +139,33 @@ def build_conv_algebra(G: FiniteGroupoid, O: GSheafOfAlgebras,
 def convolution_eval(conv: ConvAlgebra, fvec, gvec):
     """Pointwise re-evaluation of the defining convolution sum.
 
-    Independent of the structure-constant table: walks every composable
-    factorization of every arrow using only stalk products and the
-    transition maps.
+    Independent of the structure-constant table: sums f(beta)
+    alpha_beta(g(rho)) over the composable pairs with beta in the
+    support of f and rho in the support of g, using only stalk products
+    and the transition maps.
     """
     G = conv.groupoid
     O = conv.sheaf
     f = conv.field
+    labels = conv.algebra.labels
+
+    def support(vec):
+        return dict.fromkeys(labels[k][0] for k, c in enumerate(vec) if c != 0)
+
     out = linalg.zero_vector(f, conv.dim)
-    for (beta, rho), gamma in G.compose.items():
+    rhos = support(gvec)
+    for beta in support(fvec):
         stalk = O.stalk[G.dst[beta]]
         a = conv.value_at(fvec, beta)
-        b = conv.value_at(gvec, rho)
-        if linalg.vec_is_zero(a) or linalg.vec_is_zero(b):
-            continue
-        term = stalk.mul(a, O.apply(beta, b))
-        for k, c in enumerate(term):
-            if c != 0:
-                idx = conv.index[gamma, k]
-                out[idx] = f.add(out[idx], c)
+        for rho in rhos:
+            if not G.composable(beta, rho):
+                continue
+            term = stalk.mul(a, O.apply(beta, conv.value_at(gvec, rho)))
+            gamma = G.compose[beta, rho]
+            for k, c in enumerate(term):
+                if c != 0:
+                    idx = conv.index[gamma, k]
+                    out[idx] = f.add(out[idx], c)
     return out
 
 
@@ -305,12 +313,16 @@ def check_uniqueness_theorem(conv: ConvAlgebra, cap: int = exactalg.IDEAL_DIM_CA
 # dictionary checks: dynamics <-> algebra
 
 
-def check_simplelife(G: FiniteGroupoid, O: GSheafOfAlgebras,
-                     conv: ConvAlgebra | None = None) -> Report:
-    """Simplicity dictionary for sheaves of fields:
+def _dictionary_check(check: str, G: FiniteGroupoid, O: GSheafOfAlgebras,
+                      conv: ConvAlgebra | None, with_masa: bool, decide,
+                      notes=()) -> Report:
+    """The hypothesis/cap preamble shared by the dictionary checks.
 
-        Gamma_c(G, O) simple  <=>  G minimal and the kernel of O is
-                                   reduced to the unit space.
+    The stalks must be fields and, with_masa, the diagonal a masa; the
+    convolution algebra is built when not given.  A failed hypothesis,
+    or a cap hit in the field test or in decide, gives a skip.
+    decide(conv) returns the lhs, rhs, passed and witnesses fields of
+    the report.
     """
     try:
         fields = sheafmod.is_sheaf_of_fields(O)
@@ -318,23 +330,39 @@ def check_simplelife(G: FiniteGroupoid, O: GSheafOfAlgebras,
     except CapExceeded as exc:
         fields = False
         caps = [str(exc)]
-    hyp = {"stalks are fields": fields}
-    if not fields:
-        return Report(check="simplicity-dictionary", hypotheses=hyp,
-                      passed=None, caps_hit=caps)
-    if conv is None:
+    if conv is None and fields:
         conv = build_conv_algebra(G, O)
+    hyp = {"stalks are fields": fields}
+    if with_masa:
+        hyp["diagonal is masa"] = fields and is_diagonal_masa(conv)
+    if not all(hyp.values()):
+        return Report(check=check, hypotheses=hyp, passed=None,
+                      caps_hit=caps, notes=list(notes))
     try:
-        simple = exactalg.is_simple(conv.algebra)
+        decided = decide(conv)
     except CapExceeded as exc:
-        return Report(check="simplicity-dictionary", hypotheses=hyp,
-                      passed=None, caps_hit=[str(exc)])
-    minimal = is_minimal(G)
-    intker = sheafmod.int_ker_is_units(O)
-    return Report(check="simplicity-dictionary", hypotheses=hyp,
-                  lhs={"simple": simple},
-                  rhs={"minimal": minimal, "kernel is units": intker},
-                  passed=(simple == (minimal and intker)))
+        return Report(check=check, hypotheses=hyp, passed=None,
+                      caps_hit=[str(exc)], notes=list(notes))
+    return Report(check=check, hypotheses=hyp, notes=list(notes), **decided)
+
+
+def check_simplelife(G: FiniteGroupoid, O: GSheafOfAlgebras,
+                     conv: ConvAlgebra | None = None) -> Report:
+    """Simplicity dictionary for sheaves of fields:
+
+        Gamma_c(G, O) simple  <=>  G minimal and the kernel of O is
+                                   reduced to the unit space.
+    """
+    def decide(conv):
+        simple = exactalg.is_simple(conv.algebra)
+        minimal = is_minimal(G)
+        intker = sheafmod.int_ker_is_units(O)
+        return dict(lhs={"simple": simple},
+                    rhs={"minimal": minimal, "kernel is units": intker},
+                    passed=(simple == (minimal and intker)))
+
+    return _dictionary_check("simplicity-dictionary", G, O, conv, False,
+                             decide)
 
 
 def check_primitivity(G: FiniteGroupoid, O: GSheafOfAlgebras,
@@ -348,58 +376,28 @@ def check_primitivity(G: FiniteGroupoid, O: GSheafOfAlgebras,
     a finite discrete unit space is an orbit meeting every unit, i.e.
     minimality.
     """
-    notes = ["finite reduction: primitive <=> simple (Artinian, Wedderburn)",
-             "finite reduction: dense orbit <=> single orbit"]
-    try:
-        fields = sheafmod.is_sheaf_of_fields(O)
-        caps = []
-    except CapExceeded as exc:
-        fields = False
-        caps = [str(exc)]
-    if conv is None and fields:
-        conv = build_conv_algebra(G, O)
-    masa = is_diagonal_masa(conv) if fields else False
-    hyp = {"stalks are fields": fields, "diagonal is masa": masa}
-    if not (fields and masa):
-        return Report(check="primitivity-dictionary", hypotheses=hyp,
-                      passed=None, caps_hit=caps, notes=notes)
-    try:
+    def decide(conv):
         simple = exactalg.is_simple(conv.algebra)
-    except CapExceeded as exc:
-        return Report(check="primitivity-dictionary", hypotheses=hyp,
-                      passed=None, caps_hit=[str(exc)], notes=notes)
-    minimal = is_minimal(G)
-    return Report(check="primitivity-dictionary", hypotheses=hyp,
-                  lhs={"primitive (= simple)": simple},
-                  rhs={"dense orbit (= minimal)": minimal},
-                  passed=(simple == minimal), notes=notes)
+        minimal = is_minimal(G)
+        return dict(lhs={"primitive (= simple)": simple},
+                    rhs={"dense orbit (= minimal)": minimal},
+                    passed=(simple == minimal))
+
+    return _dictionary_check(
+        "primitivity-dictionary", G, O, conv, True, decide,
+        ["finite reduction: primitive <=> simple (Artinian, Wedderburn)",
+         "finite reduction: dense orbit <=> single orbit"])
 
 
 def check_semiprimitivity(G: FiniteGroupoid, O: GSheafOfAlgebras,
                           conv: ConvAlgebra | None = None, seed: int = 0) -> Report:
     """Sheaf of fields with masa diagonal => zero Jacobson radical."""
-    try:
-        fields = sheafmod.is_sheaf_of_fields(O)
-        caps = []
-    except CapExceeded as exc:
-        fields = False
-        caps = [str(exc)]
-    if conv is None and fields:
-        conv = build_conv_algebra(G, O)
-    masa = is_diagonal_masa(conv) if fields else False
-    hyp = {"stalks are fields": fields, "diagonal is masa": masa}
-    if not (fields and masa):
-        return Report(check="semiprimitivity", hypotheses=hyp,
-                      passed=None, caps_hit=caps)
-    try:
+    def decide(conv):
         J = exactalg.jacobson_radical(conv.algebra, seed)
-    except CapExceeded as exc:
-        return Report(check="semiprimitivity", hypotheses=hyp,
-                      passed=None, caps_hit=[str(exc)])
-    rep = Report(check="semiprimitivity", hypotheses=hyp,
-                 lhs={"radical dim": J.dim}, rhs={"radical dim": 0},
-                 passed=J.is_zero())
-    if not J.is_zero():
-        rep.witnesses["radical_basis"] = [list(map(conv.field.encode, r))
-                                          for r in J.basis]
-    return rep
+        return dict(lhs={"radical dim": J.dim}, rhs={"radical dim": 0},
+                    passed=J.is_zero(),
+                    witnesses={} if J.is_zero() else {
+                        "radical_basis": [list(map(conv.field.encode, r))
+                                          for r in J.basis]})
+
+    return _dictionary_check("semiprimitivity", G, O, conv, True, decide)

@@ -26,9 +26,9 @@ from __future__ import annotations
 
 from . import exactalg, linalg
 from .convalg import ConvAlgebra
-from .errors import AlgebraError, CapExceeded, CheckFailure, InputError
+from .errors import CapExceeded, CheckFailure, InputError
 from .exactalg import AlgebraModule, FDAlgebra, Subspace
-from .groupoid import FiniteGroupoid, orbit_of, isotropy_group
+from .groupoid import orbit_of, isotropy_group
 from .reports import Report
 
 
@@ -255,6 +255,22 @@ def _vec_items(B, vec):
     return [(B.labels[k], c) for k, c in enumerate(vec) if c != 0]
 
 
+def _displaced(conv: ConvAlgebra, T: Transversal, B: FDAlgebra, zeta, i):
+    """The element alpha_{eta_z^-1}(e_i) delta of B_x, with
+    delta = eta_z^-1 zeta eta_y, that the point mass e_i on zeta: y -> z
+    moves back to x along the transversal."""
+    G, O, f = conv.groupoid, conv.sheaf, conv.field
+    y, z = G.src[zeta], G.dst[zeta]
+    eta_z_inv = G.inverse[T.eta[z]]
+    b = O.apply(eta_z_inv, _basis_vec(f, O.stalk[z].dim, i))
+    delta = G.compose[G.compose[eta_z_inv, zeta], T.eta[y]]
+    bvec = linalg.zero_vector(f, B.dim)
+    for k, c in enumerate(b):
+        if c != 0:
+            bvec[B.label_index[k, delta]] = c
+    return bvec
+
+
 def induce(conv: ConvAlgebra, x, M: AlgebraModule,
            T: Transversal | None = None) -> AlgebraModule:
     """Ind_x(M) for a left B_x-module M, as a Gamma_c-module.
@@ -263,7 +279,7 @@ def induce(conv: ConvAlgebra, x, M: AlgebraModule,
     order); the action matrix of each point-mass basis section is filled
     from the displacement formula in the module docstring.
     """
-    G, O, f = conv.groupoid, conv.sheaf, conv.field
+    G, f = conv.groupoid, conv.field
     B = M.algebra
     if T is None:
         T = Transversal.canonical(conv, x)
@@ -275,14 +291,7 @@ def induce(conv: ConvAlgebra, x, M: AlgebraModule,
         Mat = linalg.zero_matrix(f, dim, dim)
         y, z = G.src[zeta], G.dst[zeta]
         if y in slot:
-            eta_z_inv = G.inverse[T.eta[z]]
-            b = O.apply(eta_z_inv, _basis_vec(f, O.stalk[z].dim, i))
-            delta = G.compose[G.compose[eta_z_inv, zeta], T.eta[y]]
-            bvec = linalg.zero_vector(f, B.dim)
-            for k, c in enumerate(b):
-                if c != 0:
-                    bvec[B.label_index[k, delta]] = c
-            act = M.action_matrix(bvec)
+            act = M.action_matrix(_displaced(conv, T, B, zeta, i))
             ro, co = slot[z] * M.dim, slot[y] * M.dim
             for r in range(M.dim):
                 for c in range(M.dim):
@@ -305,7 +314,7 @@ def annihilator_induced(conv: ConvAlgebra, x, M: AlgebraModule,
     criterion (each inner sum lands in Ann_{B_x}(M)); any mismatch is a
     hard failure.
     """
-    G, O, f = conv.groupoid, conv.sheaf, conv.field
+    G, f = conv.groupoid, conv.field
     B = M.algebra
     if T is None:
         T = Transversal.canonical(conv, x)
@@ -322,14 +331,10 @@ def annihilator_induced(conv: ConvAlgebra, x, M: AlgebraModule,
             # the quotient projection; stack its matrix rows
             cols = []
             for (zeta, i) in conv.algebra.labels:
-                bvec = linalg.zero_vector(f, B.dim)
                 if G.src[zeta] == y and G.dst[zeta] == z:
-                    eta_z_inv = G.inverse[T.eta[z]]
-                    b = O.apply(eta_z_inv, _basis_vec(f, O.stalk[z].dim, i))
-                    delta = G.compose[G.compose[eta_z_inv, zeta], T.eta[y]]
-                    for k, c in enumerate(b):
-                        if c != 0:
-                            bvec[B.label_index[k, delta]] = c
+                    bvec = _displaced(conv, T, B, zeta, i)
+                else:
+                    bvec = linalg.zero_vector(f, B.dim)
                 cols.append(linalg.mat_vec(f, projB, bvec))
             rows.extend(linalg.transpose(cols))
     if rows:

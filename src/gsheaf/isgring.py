@@ -359,9 +359,11 @@ class SkewRing:
                     gens.append(linalg.vec_sub(f, self.embed(r, list(b)),
                                                self.embed(s, list(b))))
         self.N = Subspace.from_vectors(f, dim, gens)
-        if not exactalg.is_ideal(L, self.N, "two"):
-            raise CheckFailure("relation span is not a two-sided ideal")
-        self.quotient, self.proj = exactalg.quotient_algebra(L, self.N)
+        # quotient_algebra checks that N is an ideal
+        try:
+            self.quotient, self.proj = exactalg.quotient_algebra(L, self.N)
+        except AlgebraError:
+            raise CheckFailure("relation span is not a two-sided ideal") from None
         _, self.lift = exactalg.quotient_coords(f, self.N)
         if self.quotient.unit is None:
             qu = exactalg.find_unit(self.quotient)
@@ -384,6 +386,53 @@ class SkewRing:
 
 def skew_isg_ring(act: SpectralRingAction) -> SkewRing:
     return SkewRing(act)
+
+
+class SkewRealization:
+    """The skew ring of a spectral action mapped into a convolution algebra.
+
+    images(s, a) gives, for a in D_s, the pair (a_hat, arrows) with
+    a_hat * chi_arrows the image of a delta_s.  map_L is the matrix of
+    that map on L and map_quotient the induced matrix on L/N.  Keyword
+    data of the construction (bisections, atoms, germs, sheaf) are kept
+    as attributes.
+    """
+
+    def __init__(self, act: SpectralRingAction, conv: ConvAlgebra, images,
+                 **data):
+        self.conv = conv
+        self.skew = skew_isg_ring(act)
+        cols = []
+        for (s, k) in self.skew.labels:
+            a_hat, arrows = images(s, list(act.domain[s].basis[k]))
+            cols.append(conv.algebra.mul(a_hat, conv.chi(arrows)))
+        self.map_L = (linalg.transpose(cols) if cols
+                      else [[] for _ in range(conv.dim)])
+        self.map_quotient = linalg.mat_mul(conv.field, self.map_L,
+                                           self.skew.lift)
+        vars(self).update(data)
+
+    def kills_relations(self) -> bool:
+        """Does the map on L vanish on the relation ideal N?"""
+        f = self.conv.field
+        return all(linalg.vec_is_zero(linalg.mat_vec(f, self.map_L, list(b)))
+                   for b in self.skew.N.basis)
+
+    def is_ring_iso(self) -> bool:
+        """Is the induced map L/N -> Gamma_c a unital ring isomorphism?"""
+        return exactalg.check_ring_iso(self.skew.quotient, self.conv.algebra,
+                                       self.map_quotient)
+
+    def report(self, check: str, hypotheses: dict, rhs: dict) -> Report:
+        """L/N is Gamma_c through the map, with the dimensions of L."""
+        skew = self.skew
+        kills = self.kills_relations()
+        return Report(
+            check=check, hypotheses=hypotheses,
+            lhs={"dim L": skew.L.dim, "dim N": skew.N.dim,
+                 "dim quotient": skew.quotient.dim},
+            rhs=rhs, passed=kills and self.is_ring_iso(),
+            witnesses={} if kills else {"relation not killed": True})
 
 
 # ---------------------------------------------------------------------------
@@ -726,37 +775,17 @@ def bisection_ring_action(conv: ConvAlgebra,
     return ring_act, member, embed
 
 
-class SiriData:
-    def __init__(self, conv, action, member, embed, skew, map_L, map_quotient):
-        self.conv = conv
-        self.action = action
-        self.member = member
-        self.embed = embed
-        self.skew = skew
-        self.map_L = map_L
-        self.map_quotient = map_quotient
-
-
 def siri_data(G: FiniteGroupoid, O: GSheafOfAlgebras,
-              arrow_cap: int = ARROW_CAP) -> SiriData:
-    """Skew ring of the bisection action, with its map into Γ_c.
-
-    The map sends a delta_U to the convolution a * chi_U; its matrix on
-    L and the induced matrix on L/N are both returned.
-    """
+              arrow_cap: int = ARROW_CAP) -> SkewRealization:
+    """Skew ring of the bisection action, with its map into Gamma_c,
+    which sends a delta_U to the convolution a * chi_U."""
     conv = build_conv_algebra(G, O)
     act, member, embed = bisection_ring_action(conv, arrow_cap)
-    skew = skew_isg_ring(act)
-    f = conv.field
-    cols = []
-    for (lab, k) in skew.labels:
-        a_diag = list(act.domain[lab].basis[k])
-        a_conv = linalg.mat_vec(f, embed, a_diag)
-        chi = conv.chi(sorted(member[lab], key=G.arrow_index.get))
-        cols.append(conv.algebra.mul(a_conv, chi))
-    map_L = linalg.transpose(cols) if cols else [[] for _ in range(conv.dim)]
-    map_quotient = linalg.mat_mul(f, map_L, skew.lift)
-    return SiriData(conv, act, member, embed, skew, map_L, map_quotient)
+
+    def images(U, a):
+        return linalg.mat_vec(conv.field, embed, a), member[U]
+
+    return SkewRealization(act, conv, images, member=member)
 
 
 def verify_siri(G: FiniteGroupoid, O: GSheafOfAlgebras,
@@ -767,22 +796,11 @@ def verify_siri(G: FiniteGroupoid, O: GSheafOfAlgebras,
         return skip_report("siri", hyp,
                            caps_hit=[f"{len(G.arrows)} arrows > {arrow_cap}"])
     try:
-        data = siri_data(G, O, arrow_cap)
+        real = siri_data(G, O, arrow_cap)
     except CheckFailure as exc:
         return Report(check="siri", hypotheses=hyp, passed=False,
                       witnesses={"error": str(exc)})
-    f = data.conv.field
-    kills = all(linalg.vec_is_zero(linalg.mat_vec(f, data.map_L, list(b)))
-                for b in data.skew.N.basis)
-    iso = exactalg.check_ring_iso(data.skew.quotient, data.conv.algebra,
-                                  data.map_quotient)
-    return Report(
-        check="siri", hypotheses=hyp,
-        lhs={"dim L": data.skew.L.dim, "dim N": data.skew.N.dim,
-             "dim quotient": data.skew.quotient.dim},
-        rhs={"dim conv": data.conv.dim},
-        passed=kills and iso and data.skew.quotient.dim == data.conv.dim,
-        witnesses={} if kills else {"relation not killed": True})
+    return real.report("siri", hyp, {"dim conv": real.conv.dim})
 
 
 # ---------------------------------------------------------------------------
@@ -799,22 +817,7 @@ def pierce_atoms(A: FDAlgebra) -> list:
                   key=lambda v: tuple(f.encode(c) for c in v))
 
 
-class PierceData:
-    def __init__(self, action, atoms, atom_ids, space, germ, sheaf, conv,
-                 skew, map_L, map_quotient):
-        self.action = action
-        self.atoms = atoms
-        self.atom_ids = atom_ids
-        self.space = space
-        self.germ = germ
-        self.sheaf = sheaf
-        self.conv = conv
-        self.skew = skew
-        self.map_L = map_L
-        self.map_quotient = map_quotient
-
-
-def pierce_data(act: SpectralRingAction) -> PierceData:
+def pierce_data(act: SpectralRingAction) -> SkewRealization:
     """Realize the skew ring as a convolution algebra over the germ
     groupoid of the induced action on the Pierce atoms.
 
@@ -883,46 +886,33 @@ def pierce_data(act: SpectralRingAction) -> PierceData:
         raise CheckFailure("Pierce sheaf invalid: " + violations[0])
 
     conv = build_conv_algebra(germ.groupoid, sheaf)
-    skew = skew_isg_ring(act)
-    cols = []
-    for (s, k) in skew.labels:
-        a = list(act.domain[s].basis[k])
+
+    def images(s, a):
         a_hat = linalg.zero_vector(f, conv.dim)
         for aid in atom_ids:
             val = corner[aid].coords_of(A.mul(vec_of[aid], a))
             pm = conv.point_mass(germ.groupoid.unit_arrow(aid), val)
             a_hat = linalg.vec_add(f, a_hat, pm)
-        chi = conv.chi(germ.slice_labels(s))
-        cols.append(conv.algebra.mul(a_hat, chi))
-    map_L = linalg.transpose(cols) if cols else [[] for _ in range(conv.dim)]
-    map_quotient = linalg.mat_mul(f, map_L, skew.lift)
-    return PierceData(act, atoms, atom_ids, space, germ, sheaf, conv, skew,
-                      map_L, map_quotient)
+        return a_hat, germ.slice_labels(s)
+
+    return SkewRealization(act, conv, images, atoms=atoms, germ=germ,
+                           sheaf=sheaf)
 
 
 def pierce_verification(act: SpectralRingAction) -> Report:
     """Skew ring of a spectral action vs convolution algebra over the
     germ groupoid of the Pierce-atom action."""
     try:
-        data = pierce_data(act)
+        real = pierce_data(act)
     except CapExceeded as exc:
         return skip_report("pierce", {}, caps_hit=[str(exc)])
     except CheckFailure as exc:
         return Report(check="pierce", hypotheses={}, passed=False,
                       witnesses={"error": str(exc)})
-    f = data.conv.field
-    kills = all(linalg.vec_is_zero(linalg.mat_vec(f, data.map_L, list(b)))
-                for b in data.skew.N.basis)
-    iso = exactalg.check_ring_iso(data.skew.quotient, data.conv.algebra,
-                                  data.map_quotient)
-    return Report(
-        check="pierce", hypotheses={},
-        lhs={"dim L": data.skew.L.dim, "dim N": data.skew.N.dim,
-             "dim quotient": data.skew.quotient.dim},
-        rhs={"atoms": len(data.atoms),
-             "germ arrows": len(data.germ.groupoid.arrows),
-             "dim conv": data.conv.dim},
-        passed=kills and iso and data.skew.quotient.dim == data.conv.dim)
+    return real.report("pierce", {},
+                       {"atoms": len(real.atoms),
+                        "germ arrows": len(real.germ.groupoid.arrows),
+                        "dim conv": real.conv.dim})
 
 
 # ---------------------------------------------------------------------------
@@ -1103,38 +1093,29 @@ def verify_partial_crossed(act: PartialGroupAction, field: Field,
     count permits.
     """
     G = transformation_groupoid(act)
-    ring_act = dual_ring_action(act, field)
-    skew = skew_isg_ring(ring_act)
-    if not skew.N.is_zero():
-        raise CheckFailure("group-indexed relation ideal is nonzero")
     O = constant_sheaf(G, exactalg.scalar_algebra(field))
     conv = build_conv_algebra(G, O)
-    f = field
-    A = ring_act.algebra
-    cols = []
-    for (g, k) in skew.labels:
-        a = list(ring_act.domain[g].basis[k])
-        a_hat = linalg.zero_vector(f, conv.dim)
+
+    def images(g, a):
+        a_hat = linalg.zero_vector(field, conv.dim)
         for x in act.points:
-            if a[act.pos[x]] != 0:
-                pm = conv.point_mass(G.unit_arrow(x), [a[act.pos[x]]])
-                a_hat = linalg.vec_add(f, a_hat, pm)
-        slice_g = [x if g == act.unit else f"{g}@{x}"
-                   for x in sorted(act.domain[g], key=act.pos.get)]
-        cols.append(conv.algebra.mul(a_hat, conv.chi(slice_g)))
-    map_L = linalg.transpose(cols) if cols else [[] for _ in range(conv.dim)]
-    map_quotient = linalg.mat_mul(f, map_L, skew.lift)
-    iso = exactalg.check_ring_iso(skew.quotient, conv.algebra, map_quotient)
+            a_hat[conv.index[G.unit_arrow(x), 0]] = a[act.pos[x]]
+        return a_hat, [x if g == act.unit else f"{g}@{x}"
+                       for x in act.domain[g]]
+
+    real = SkewRealization(dual_ring_action(act, field), conv, images)
+    if not real.skew.N.is_zero():
+        raise CheckFailure("group-indexed relation ideal is nonzero")
+    iso = real.is_ring_iso()
 
     sub = None
     if len(G.arrows) <= arrow_cap:
         sub = verify_siri(G, O, arrow_cap)
     rep = Report(
         check="partial-crossed", hypotheses={},
-        lhs={"dim skew ring": skew.quotient.dim},
+        lhs={"dim skew ring": real.skew.quotient.dim},
         rhs={"groupoid arrows": len(G.arrows), "dim conv": conv.dim},
-        passed=iso and skew.quotient.dim == conv.dim and
-               (sub is None or sub.passed is not False))
+        passed=iso and (sub is None or sub.passed is not False))
     if sub is not None:
         rep.notes.append(
             f"bisection-action realization of the transformation groupoid: "

@@ -2,6 +2,7 @@
 
 import pytest
 
+from gsheaf import isgring
 from gsheaf.errors import InputError
 from gsheaf.fixtures import (CATALOG, MIN_CATALOG, catalog_names,
                              get_fixture, run_catalog, run_fixture)
@@ -105,3 +106,37 @@ def test_report_line_format():
         js = r.to_json()
         assert js["status"] in ("pass", "fail", "skip")
         assert ("pass" in js) and (js["pass"] in (True, False, None))
+
+
+def test_each_fixture_builds_its_skew_ring_once(monkeypatch):
+    # the expectations read the battery's reports instead of rebuilding
+    calls = {}
+
+    def counted(name):
+        original = getattr(isgring, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return original(*args, **kwargs)
+        return wrapper
+
+    names = ("skew_isg_ring", "siri_data", "pierce_data", "pierce_atoms",
+             "dual_ring_action", "transformation_groupoid")
+    for name in names:
+        monkeypatch.setattr(isgring, name, counted(name))
+    run_catalog(seed=0)
+    assert calls == {"skew_isg_ring": 23, "siri_data": 17, "pierce_data": 3,
+                     "pierce_atoms": 3, "dual_ring_action": 3,
+                     "transformation_groupoid": 3}
+
+
+def test_siri_dims_skips_with_the_siri_cap(monkeypatch):
+    def no_rebuild(*args, **kwargs):
+        raise AssertionError("siri_data called past the arrow cap")
+
+    monkeypatch.setattr(isgring, "siri_data", no_rebuild)
+    reps = {r.check: r for r in run_fixture("P2-F2", arrow_cap=3)}
+    siri, dims = reps["siri"], reps["P2-F2:siri_dims"]
+    assert siri.status == dims.status == "skip"
+    assert dims.caps_hit == siri.caps_hit == ["4 arrows > 3"]
+    assert dims.notes == ["[DERIVED] dims over the seven bisections"]

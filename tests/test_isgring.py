@@ -286,6 +286,17 @@ def test_bisection_action_relation_ideal_nonzero():
     assert skew.quotient.dim == 2
 
 
+def test_skew_ring_rejects_a_relation_span_that_is_not_an_ideal(
+        monkeypatch):
+    # the ideal test runs once, inside quotient_algebra; its failure
+    # still surfaces as the skew ring's own CheckFailure
+    act = swap_ring_action()
+    monkeypatch.setattr(exactalg, "is_ideal", lambda *args: False)
+    with pytest.raises(CheckFailure,
+                       match="^relation span is not a two-sided ideal$"):
+        skew_isg_ring(act)
+
+
 def test_siri_dims():
     cases = [
         (t1_groupoid(2), 2, (4, 2, 2)),
