@@ -225,8 +225,12 @@ def centralizer_of_diagonal(conv: ConvAlgebra) -> Subspace:
     isotropy bundle; for stalks that are fields (finite integral domains)
     the centralizer is exactly the span of sections supported on the
     kernel of the sheaf.  Both facts are asserted whenever their
-    hypotheses hold.
+    hypotheses hold.  Computed once per convolution algebra.
     """
+    return exactalg.memoized(conv, "diagonal centralizer", _centralizer_of_diagonal)
+
+
+def _centralizer_of_diagonal(conv: ConvAlgebra) -> Subspace:
     C = exactalg.centralizer(conv.algebra, conv.diagonal_subspace())
     G = conv.groupoid
     if sheafmod.stalks_commutative(conv.sheaf):

@@ -66,9 +66,10 @@ class Subspace:
         return len(self.basis) == self.parent_dim
 
     def _span(self) -> IncrementalSpan:
+        """A span for reduce and contains only: it reads the stored tuples."""
         span = IncrementalSpan(self.field, self.parent_dim)
-        span.rows = [list(r) for r in self.basis]
-        span.pivots = list(self.pivots)
+        span.rows = self.basis
+        span.pivots = self.pivots
         return span
 
     def contains(self, v) -> bool:
@@ -322,6 +323,19 @@ def require_valid_algebra(A: FDAlgebra) -> None:
         raise AlgebraError("; ".join(bad[:3]))
 
 
+def memoized(obj, key, compute, *args):
+    """compute(obj, *args), run once per obj and key.  The memo lives on
+    obj, so it dies with obj, and is dropped when obj.unit changes."""
+    unit = getattr(obj, "unit", None)
+    memo = vars(obj).get("_memo")
+    if memo is None or memo[0] != unit:
+        memo = obj._memo = (unit, {})
+    answers = memo[1]
+    if key not in answers:
+        answers[key] = compute(obj, *args)
+    return answers[key]
+
+
 # ---------------------------------------------------------------------------
 # ideals
 
@@ -386,18 +400,16 @@ def ideal_generated(A: FDAlgebra, gens, sided: str = "two",
 
 
 def is_ideal(A: FDAlgebra, S: Subspace, sided: str = "two") -> bool:
-    f = A.field
-    L = A.left_basis_mats()
-    R = A.right_basis_mats()
+    """Is S closed under products with A's basis from the given side(s)?"""
+    if sided not in ("left", "right", "two"):
+        raise AlgebraError(f"sided must be left/right/two, got {sided!r}")
+    span = S._span()
+    basis = [A.basis_vector(i) for i in range(A.dim)]
     for v in S.basis:
-        if sided in ("left", "two"):
-            for i in range(A.dim):
-                if not S.contains(linalg.mat_vec(f, L[i], list(v))):
-                    return False
-        if sided in ("right", "two"):
-            for j in range(A.dim):
-                if not S.contains(linalg.mat_vec(f, R[j], list(v))):
-                    return False
+        if sided != "right" and not all(span.contains(A.mul(b, v)) for b in basis):
+            return False
+        if sided != "left" and not all(span.contains(A.mul(v, b)) for b in basis):
+            return False
     return True
 
 
@@ -415,12 +427,17 @@ def enumerate_two_sided_ideals(A: FDAlgebra, cap: int = IDEAL_DIM_CAP) -> list[S
     sum_ij p^dim(e_i A e_j) ideal generations instead of p^dim A.  A
     non-unital algebra is scanned whole.  Capped at dim A because the
     join-closure and the worst case (a local algebra, k = 1) still grow
-    with p^dim.
+    with p^dim.  The list is computed once per algebra.
     """
     if not A.field.is_finite:
         raise CapExceeded("ideal enumeration needs a finite base field")
     if A.dim > cap:
         raise CapExceeded(f"ideal enumeration capped at dim {cap}, algebra has dim {A.dim}")
+    return list(memoized(A, "ideals", _two_sided_ideals))
+
+
+def _two_sided_ideals(A: FDAlgebra) -> list[Subspace]:
+    """The body of enumerate_two_sided_ideals, past its caps."""
     if A.unit is None or A.dim == 0:
         return _scan_two_sided_ideals(A)
     f = A.field
@@ -590,10 +607,15 @@ def central_primitive_idempotents(A: FDAlgebra):
 
     These are the minimal nonzero central idempotents, the points of the
     Pierce spectrum.  Over the rationals only a one-dimensional centre
-    (A indecomposable, the answer [1]) is decided.
+    (A indecomposable, the answer [1]) is decided.  Computed once per
+    algebra.
     """
     if A.unit is None:
         raise AlgebraError("central idempotents need a unital algebra")
+    return [list(e) for e in memoized(A, "central idempotents", _central_idempotents)]
+
+
+def _central_idempotents(A: FDAlgebra):
     Z = centralizer(A, Subspace.full(A.field, A.dim))
     if not A.field.is_finite and Z.dim > 1:
         raise CapExceeded(f"central idempotents of a {Z.dim}-dimensional "
@@ -685,7 +707,8 @@ def is_simple(A: FDAlgebra) -> bool:
     of A are multiplications by central elements) and the Jacobson
     density theorem gives E = End_Z(A).  Conversely, a two-sided ideal is
     an E-invariant subspace, and when E = End_Z(A) with Z a field the only
-    such subspaces are 0 and A.  Both tests are polynomial in n.
+    such subspaces are 0 and A.  Both tests are polynomial in n, and the
+    certificate is computed once per algebra.
     """
     if A.unit is None:
         raise AlgebraError("simplicity test needs a unital algebra")
@@ -693,6 +716,11 @@ def is_simple(A: FDAlgebra) -> bool:
         raise AlgebraError("the zero algebra is not simple")
     if not A.field.is_finite:
         raise CapExceeded("simplicity test needs a finite base field")
+    return memoized(A, "simple", _density_certificate)
+
+
+def _density_certificate(A: FDAlgebra) -> bool:
+    """The certificate of is_simple: a field centre and a dense bimodule."""
     Z = subalgebra_on(A, centralizer(A, Subspace.full(A.field, A.dim)))
     if not is_field(Z):
         return False
@@ -1022,11 +1050,16 @@ def jacobson_radical(A: FDAlgebra, seed: int = 0, _recheck: bool = True) -> Subs
 
     Self-certifying: the result must be a nilpotent two-sided ideal with
     J^k = 0 for some k <= dim, and A/J must have zero radical on re-run.
+    Computed once per algebra and seed.
     """
     if A.unit is None:
         raise AlgebraError("radical needs a unital algebra")
     if A.dim == 0:
         return Subspace.zero(A.field, 0)
+    return memoized(A, ("radical", seed, _recheck), _radical, seed, _recheck)
+
+
+def _radical(A: FDAlgebra, seed: int, recheck: bool) -> Subspace:
     simples = meataxe_simple_quotients(regular_module(A), seed)
     J = Subspace.full(A.field, A.dim)
     for S in simples:
@@ -1044,7 +1077,7 @@ def jacobson_radical(A: FDAlgebra, seed: int = 0, _recheck: bool = True) -> Subs
                 nxt.append(A.mul(list(u), list(v)))
         power = Subspace.from_vectors(A.field, A.dim, nxt)
         k += 1
-    if _recheck and not J.is_full():
+    if recheck and not J.is_full():
         Q, _ = quotient_algebra(A, J)
         if not jacobson_radical(Q, seed, _recheck=False).is_zero():
             raise CheckFailure("A modulo its radical has nonzero radical")

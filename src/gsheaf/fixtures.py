@@ -313,389 +313,385 @@ def _const(G: FiniteGroupoid, A: FDAlgebra):
     return G, constant_sheaf(G, A)
 
 
-CATALOG: dict[str, Fixture] = {}
-
-
-def _add(fix: Fixture):
-    if fix.name in CATALOG:
-        raise InputError(f"duplicate fixture name {fix.name}")
-    CATALOG[fix.name] = fix
-
-
 _IDEAL = "[DERIVED] ideal lattice of the factor algebras"
 _COUNT = "[TRIVIAL] count from the construction"
 _HAND = "[DERIVED] hand computation with the structure constants"
 _WEDD = "[DERIVED] Wedderburn decomposition of the group algebra"
 _BIJ = "[DERIVED] count of partial bijections"
 
-_add(Fixture(
-    "T1-1-F2", "sheaf", "single unit, scalar GF(2) stalk",
-    lambda: _const(t1_groupoid(1), scalar_algebra(GF(2))),
-    {
-        "dim": (1, _COUNT),
-        "n_ideals": (2, "[TRIVIAL] zero and the whole field"),
-        "simple": (True, "[TRIVIAL] the base field is simple"),
-        "minimal": (True, _COUNT),
-        "effective": (True, _COUNT),
-        "int_ker": (True, _COUNT),
-        "masa": (True, "[TRIVIAL] the diagonal is everything"),
-        "vnr": (True, "[TRIVIAL] fields are regular"),
-        "radical_dim": (0, "[TRIVIAL] fields are semisimple"),
-        "fields": (True, _COUNT),
-        "siri_dims": ((1, 0, 1), "[DERIVED] one nonempty bisection"),
-    }))
+_FIXTURES = [
+    Fixture(
+        "T1-1-F2", "sheaf", "single unit, scalar GF(2) stalk",
+        lambda: _const(t1_groupoid(1), scalar_algebra(GF(2))),
+        {
+            "dim": (1, _COUNT),
+            "n_ideals": (2, "[TRIVIAL] zero and the whole field"),
+            "simple": (True, "[TRIVIAL] the base field is simple"),
+            "minimal": (True, _COUNT),
+            "effective": (True, _COUNT),
+            "int_ker": (True, _COUNT),
+            "masa": (True, "[TRIVIAL] the diagonal is everything"),
+            "vnr": (True, "[TRIVIAL] fields are regular"),
+            "radical_dim": (0, "[TRIVIAL] fields are semisimple"),
+            "fields": (True, _COUNT),
+            "siri_dims": ((1, 0, 1), "[DERIVED] one nonempty bisection"),
+        }),
 
-_add(Fixture(
-    "T1-2-F2", "sheaf", "two isolated units over GF(2)",
-    lambda: _const(t1_groupoid(2), scalar_algebra(GF(2))),
-    {
-        "dim": (2, _COUNT),
-        "n_ideals": (4, "[DERIVED] ideals of a product of two fields"),
-        "simple": (False, "[TRIVIAL] two orbits give a proper ideal"),
-        "minimal": (False, _COUNT),
-        "effective": (True, _COUNT),
-        "int_ker": (True, _COUNT),
-        "masa": (True, "[TRIVIAL] the diagonal is everything"),
-        "vnr": (True, "[TRIVIAL] fields are regular"),
-        "radical_dim": (0, "[TRIVIAL] products of fields are semisimple"),
-        "fields": (True, _COUNT),
-        "n_bisections": (4, _BIJ),
-        "siri_dims": ((4, 2, 2), "[DERIVED] dims over the four bisections"),
-    }))
+    Fixture(
+        "T1-2-F2", "sheaf", "two isolated units over GF(2)",
+        lambda: _const(t1_groupoid(2), scalar_algebra(GF(2))),
+        {
+            "dim": (2, _COUNT),
+            "n_ideals": (4, "[DERIVED] ideals of a product of two fields"),
+            "simple": (False, "[TRIVIAL] two orbits give a proper ideal"),
+            "minimal": (False, _COUNT),
+            "effective": (True, _COUNT),
+            "int_ker": (True, _COUNT),
+            "masa": (True, "[TRIVIAL] the diagonal is everything"),
+            "vnr": (True, "[TRIVIAL] fields are regular"),
+            "radical_dim": (0, "[TRIVIAL] products of fields are semisimple"),
+            "fields": (True, _COUNT),
+            "n_bisections": (4, _BIJ),
+            "siri_dims": ((4, 2, 2), "[DERIVED] dims over the four bisections"),
+        }),
 
-_add(Fixture(
-    "T1-3-F3", "sheaf", "three isolated units over GF(3)",
-    lambda: _const(t1_groupoid(3), scalar_algebra(GF(3))),
-    {
-        "dim": (3, _COUNT),
-        "n_ideals": (8, "[DERIVED] ideals of a product of three fields"),
-        "simple": (False, "[TRIVIAL] three orbits"),
-        "minimal": (False, _COUNT),
-        "radical_dim": (0, "[TRIVIAL] products of fields are semisimple"),
-        "fields": (True, _COUNT),
-    }))
+    Fixture(
+        "T1-3-F3", "sheaf", "three isolated units over GF(3)",
+        lambda: _const(t1_groupoid(3), scalar_algebra(GF(3))),
+        {
+            "dim": (3, _COUNT),
+            "n_ideals": (8, "[DERIVED] ideals of a product of three fields"),
+            "simple": (False, "[TRIVIAL] three orbits"),
+            "minimal": (False, _COUNT),
+            "radical_dim": (0, "[TRIVIAL] products of fields are semisimple"),
+            "fields": (True, _COUNT),
+        }),
 
-_add(Fixture(
-    "P2-F2", "sheaf", "pair groupoid on two units over GF(2)",
-    lambda: _const(pair_groupoid(2), scalar_algebra(GF(2))),
-    {
-        "dim": (4, _COUNT),
-        "n_ideals": (2, "[DERIVED] 2x2 matrix rings are simple"),
-        "simple": (True, "[DERIVED] 2x2 matrix rings are simple"),
-        "minimal": (True, _COUNT),
-        "effective": (True, _COUNT),
-        "int_ker": (True, _COUNT),
-        "masa": (True, _HAND),
-        "vnr": (True, "[TRIVIAL] fields are regular"),
-        "radical_dim": (0, "[DERIVED] matrix rings are semisimple"),
-        "fields": (True, _COUNT),
-        "n_bisections": (7, _BIJ),
-        "siri_dims": ((8, 4, 4), "[DERIVED] dims over the seven bisections"),
-    }))
+    Fixture(
+        "P2-F2", "sheaf", "pair groupoid on two units over GF(2)",
+        lambda: _const(pair_groupoid(2), scalar_algebra(GF(2))),
+        {
+            "dim": (4, _COUNT),
+            "n_ideals": (2, "[DERIVED] 2x2 matrix rings are simple"),
+            "simple": (True, "[DERIVED] 2x2 matrix rings are simple"),
+            "minimal": (True, _COUNT),
+            "effective": (True, _COUNT),
+            "int_ker": (True, _COUNT),
+            "masa": (True, _HAND),
+            "vnr": (True, "[TRIVIAL] fields are regular"),
+            "radical_dim": (0, "[DERIVED] matrix rings are semisimple"),
+            "fields": (True, _COUNT),
+            "n_bisections": (7, _BIJ),
+            "siri_dims": ((8, 4, 4), "[DERIVED] dims over the seven bisections"),
+        }),
 
-_add(Fixture(
-    "P2-F3", "sheaf", "pair groupoid on two units over GF(3)",
-    lambda: _const(pair_groupoid(2), scalar_algebra(GF(3))),
-    {
-        "dim": (4, _COUNT),
-        "n_ideals": (2, "[DERIVED] 2x2 matrix rings are simple"),
-        "simple": (True, "[DERIVED] 2x2 matrix rings are simple"),
-        "radical_dim": (0, "[DERIVED] matrix rings are semisimple"),
-        "fields": (True, _COUNT),
-        "siri_dims": ((8, 4, 4), "[DERIVED] dims over the seven bisections"),
-    }))
+    Fixture(
+        "P2-F3", "sheaf", "pair groupoid on two units over GF(3)",
+        lambda: _const(pair_groupoid(2), scalar_algebra(GF(3))),
+        {
+            "dim": (4, _COUNT),
+            "n_ideals": (2, "[DERIVED] 2x2 matrix rings are simple"),
+            "simple": (True, "[DERIVED] 2x2 matrix rings are simple"),
+            "radical_dim": (0, "[DERIVED] matrix rings are semisimple"),
+            "fields": (True, _COUNT),
+            "siri_dims": ((8, 4, 4), "[DERIVED] dims over the seven bisections"),
+        }),
 
-_add(Fixture(
-    "P2-Q", "sheaf", "pair groupoid on two units over the rationals",
-    lambda: _const(pair_groupoid(2), scalar_algebra(QQ)),
-    {
-        "dim": (4, _COUNT),
-        "minimal": (True, _COUNT),
-        "effective": (True, _COUNT),
-        "int_ker": (True, _COUNT),
-        "masa": (True, _HAND),
-        "fields": (True, _COUNT),
-        "simple": (True, "[DERIVED] 2x2 matrix rings are simple"),
-        "siri_dims": ((8, 4, 4), "[DERIVED] dims over the seven bisections"),
-    }))
+    Fixture(
+        "P2-Q", "sheaf", "pair groupoid on two units over the rationals",
+        lambda: _const(pair_groupoid(2), scalar_algebra(QQ)),
+        {
+            "dim": (4, _COUNT),
+            "minimal": (True, _COUNT),
+            "effective": (True, _COUNT),
+            "int_ker": (True, _COUNT),
+            "masa": (True, _HAND),
+            "fields": (True, _COUNT),
+            "simple": (True, "[DERIVED] 2x2 matrix rings are simple"),
+            "siri_dims": ((8, 4, 4), "[DERIVED] dims over the seven bisections"),
+        }),
 
-_add(Fixture(
-    "P3-F2", "sheaf", "pair groupoid on three units over GF(2)",
-    lambda: _const(pair_groupoid(3), scalar_algebra(GF(2))),
-    {
-        "dim": (9, _COUNT),
-        "simple": (True, "[DERIVED] 3x3 matrix rings are simple"),
-        "minimal": (True, _COUNT),
-        "effective": (True, _COUNT),
-        "int_ker": (True, _COUNT),
-        "masa": (True, _HAND),
-        "radical_dim": (0, "[DERIVED] matrix rings are semisimple"),
-        "fields": (True, _COUNT),
-    }))
+    Fixture(
+        "P3-F2", "sheaf", "pair groupoid on three units over GF(2)",
+        lambda: _const(pair_groupoid(3), scalar_algebra(GF(2))),
+        {
+            "dim": (9, _COUNT),
+            "simple": (True, "[DERIVED] 3x3 matrix rings are simple"),
+            "minimal": (True, _COUNT),
+            "effective": (True, _COUNT),
+            "int_ker": (True, _COUNT),
+            "masa": (True, _HAND),
+            "radical_dim": (0, "[DERIVED] matrix rings are semisimple"),
+            "fields": (True, _COUNT),
+        }),
 
-_add(Fixture(
-    "P3-F3", "sheaf", "pair groupoid on three units over GF(3)",
-    lambda: _const(pair_groupoid(3), scalar_algebra(GF(3))),
-    {
-        "dim": (9, _COUNT),
-        "simple": (True, "[DERIVED] 3x3 matrix rings are simple"),
-        "radical_dim": (0, "[DERIVED] matrix rings are semisimple"),
-        "fields": (True, _COUNT),
-    }))
+    Fixture(
+        "P3-F3", "sheaf", "pair groupoid on three units over GF(3)",
+        lambda: _const(pair_groupoid(3), scalar_algebra(GF(3))),
+        {
+            "dim": (9, _COUNT),
+            "simple": (True, "[DERIVED] 3x3 matrix rings are simple"),
+            "radical_dim": (0, "[DERIVED] matrix rings are semisimple"),
+            "fields": (True, _COUNT),
+        }),
 
-_add(Fixture(
-    "P3-Q", "sheaf", "pair groupoid on three units over the rationals",
-    lambda: _const(pair_groupoid(3), scalar_algebra(QQ)),
-    {
-        "dim": (9, _COUNT),
-        "masa": (True, _HAND),
-        "fields": (True, _COUNT),
-    }))
+    Fixture(
+        "P3-Q", "sheaf", "pair groupoid on three units over the rationals",
+        lambda: _const(pair_groupoid(3), scalar_algebra(QQ)),
+        {
+            "dim": (9, _COUNT),
+            "masa": (True, _HAND),
+            "fields": (True, _COUNT),
+        }),
 
-_add(Fixture(
-    "Z2-F2", "sheaf", "one unit with order-2 isotropy over GF(2)",
-    lambda: _const(group_groupoid("1", ["1", "g"], cyclic_mul(["1", "g"])),
-                   scalar_algebra(GF(2))),
-    {
-        "dim": (2, _COUNT),
-        "n_ideals": (3, "[DERIVED] the modular group algebra is local"),
-        "simple": (False, _WEDD),
-        "minimal": (True, _COUNT),
-        "effective": (False, _COUNT),
-        "int_ker": (False, "[TRIVIAL] constant coefficients fix isotropy"),
-        "masa": (False, _HAND),
-        "vnr": (True, "[TRIVIAL] the stalk is a field"),
-        "radical_dim": (1, _WEDD),
-        "fields": (True, _COUNT),
-        "n_bisections": (3, _BIJ),
-        "siri_dims": ((2, 0, 2), "[DERIVED] dims over the three bisections"),
-    }))
+    Fixture(
+        "Z2-F2", "sheaf", "one unit with order-2 isotropy over GF(2)",
+        lambda: _const(group_groupoid("1", ["1", "g"], cyclic_mul(["1", "g"])),
+                       scalar_algebra(GF(2))),
+        {
+            "dim": (2, _COUNT),
+            "n_ideals": (3, "[DERIVED] the modular group algebra is local"),
+            "simple": (False, _WEDD),
+            "minimal": (True, _COUNT),
+            "effective": (False, _COUNT),
+            "int_ker": (False, "[TRIVIAL] constant coefficients fix isotropy"),
+            "masa": (False, _HAND),
+            "vnr": (True, "[TRIVIAL] the stalk is a field"),
+            "radical_dim": (1, _WEDD),
+            "fields": (True, _COUNT),
+            "n_bisections": (3, _BIJ),
+            "siri_dims": ((2, 0, 2), "[DERIVED] dims over the three bisections"),
+        }),
 
-_add(Fixture(
-    "Z3-F3", "sheaf", "one unit with order-3 isotropy over GF(3)",
-    lambda: _const(group_groupoid("1", ["1", "g", "gg"],
-                                  cyclic_mul(["1", "g", "gg"])),
-                   scalar_algebra(GF(3))),
-    {
-        "dim": (3, _COUNT),
-        "n_ideals": (4, "[DERIVED] the modular group algebra is a chain ring"),
-        "simple": (False, _WEDD),
-        "minimal": (True, _COUNT),
-        "effective": (False, _COUNT),
-        "int_ker": (False, "[TRIVIAL] constant coefficients fix isotropy"),
-        "masa": (False, _HAND),
-        "radical_dim": (2, _WEDD),
-        "fields": (True, _COUNT),
-    }))
+    Fixture(
+        "Z3-F3", "sheaf", "one unit with order-3 isotropy over GF(3)",
+        lambda: _const(group_groupoid("1", ["1", "g", "gg"],
+                                      cyclic_mul(["1", "g", "gg"])),
+                       scalar_algebra(GF(3))),
+        {
+            "dim": (3, _COUNT),
+            "n_ideals": (4, "[DERIVED] the modular group algebra is a chain ring"),
+            "simple": (False, _WEDD),
+            "minimal": (True, _COUNT),
+            "effective": (False, _COUNT),
+            "int_ker": (False, "[TRIVIAL] constant coefficients fix isotropy"),
+            "masa": (False, _HAND),
+            "radical_dim": (2, _WEDD),
+            "fields": (True, _COUNT),
+        }),
 
-_add(Fixture(
-    "S3-F2", "sheaf", "one unit with symmetric-group isotropy over GF(2)",
-    lambda: _const(group_groupoid(*s3_group()), scalar_algebra(GF(2))),
-    {
-        "dim": (6, _COUNT),
-        "n_ideals": (6, _WEDD),
-        "simple": (False, _WEDD),
-        "minimal": (True, _COUNT),
-        "effective": (False, _COUNT),
-        "int_ker": (False, "[TRIVIAL] constant coefficients fix isotropy"),
-        "masa": (False, _HAND),
-        "vnr": (True, "[TRIVIAL] the stalk is a field"),
-        "radical_dim": (1, _WEDD),
-        "fields": (True, _COUNT),
-        "siri_dims": ((6, 0, 6),
-                      "[DERIVED] singleton bisections of a group"),
-    }))
+    Fixture(
+        "S3-F2", "sheaf", "one unit with symmetric-group isotropy over GF(2)",
+        lambda: _const(group_groupoid(*s3_group()), scalar_algebra(GF(2))),
+        {
+            "dim": (6, _COUNT),
+            "n_ideals": (6, _WEDD),
+            "simple": (False, _WEDD),
+            "minimal": (True, _COUNT),
+            "effective": (False, _COUNT),
+            "int_ker": (False, "[TRIVIAL] constant coefficients fix isotropy"),
+            "masa": (False, _HAND),
+            "vnr": (True, "[TRIVIAL] the stalk is a field"),
+            "radical_dim": (1, _WEDD),
+            "fields": (True, _COUNT),
+            "siri_dims": ((6, 0, 6),
+                          "[DERIVED] singleton bisections of a group"),
+        }),
 
-_add(Fixture(
-    "GAL", "sheaf", "order-2 isotropy twisting GF(4) by squaring",
-    lambda: galois_sheaf(),
-    {
-        "dim": (4, _COUNT),
-        "n_ideals": (2, "[DERIVED] the twisted algebra is a 2x2 matrix ring"),
-        "simple": (True, "[DERIVED] the twisted algebra is a 2x2 matrix ring"),
-        "minimal": (True, _COUNT),
-        "effective": (False, _COUNT),
-        "int_ker": (True, "[TRIVIAL] squaring is not the identity on GF(4)"),
-        "masa": (True, _HAND),
-        "vnr": (True, "[TRIVIAL] the stalk is a field"),
-        "radical_dim": (0, "[DERIVED] matrix rings are semisimple"),
-        "fields": (True, _COUNT),
-        "siri_dims": ((4, 0, 4), "[DERIVED] dims over the three bisections"),
-    }))
+    Fixture(
+        "GAL", "sheaf", "order-2 isotropy twisting GF(4) by squaring",
+        lambda: galois_sheaf(),
+        {
+            "dim": (4, _COUNT),
+            "n_ideals": (2, "[DERIVED] the twisted algebra is a 2x2 matrix ring"),
+            "simple": (True, "[DERIVED] the twisted algebra is a 2x2 matrix ring"),
+            "minimal": (True, _COUNT),
+            "effective": (False, _COUNT),
+            "int_ker": (True, "[TRIVIAL] squaring is not the identity on GF(4)"),
+            "masa": (True, _HAND),
+            "vnr": (True, "[TRIVIAL] the stalk is a field"),
+            "radical_dim": (0, "[DERIVED] matrix rings are semisimple"),
+            "fields": (True, _COUNT),
+            "siri_dims": ((4, 0, 4), "[DERIVED] dims over the three bisections"),
+        }),
 
-_add(Fixture(
-    "DUAL-T1-1", "sheaf", "single unit with a dual-number stalk",
-    lambda: _const(t1_groupoid(1), dual_numbers()),
-    {
-        "dim": (2, _COUNT),
-        "n_ideals": (3, "[DERIVED] the dual numbers are a chain ring"),
-        "simple": (False, "[TRIVIAL] the nilpotent part is an ideal"),
-        "minimal": (True, _COUNT),
-        "effective": (True, _COUNT),
-        "int_ker": (True, _COUNT),
-        "masa": (True, "[TRIVIAL] the diagonal is everything"),
-        "vnr": (False, "[DERIVED] no x solves u x u = u"),
-        "radical_dim": (1, "[DERIVED] the nilradical of the dual numbers"),
-        "fields": (False, "[TRIVIAL] u is a zero divisor"),
-        "siri_dims": ((2, 0, 2), "[DERIVED] one nonempty bisection"),
-    }))
+    Fixture(
+        "DUAL-T1-1", "sheaf", "single unit with a dual-number stalk",
+        lambda: _const(t1_groupoid(1), dual_numbers()),
+        {
+            "dim": (2, _COUNT),
+            "n_ideals": (3, "[DERIVED] the dual numbers are a chain ring"),
+            "simple": (False, "[TRIVIAL] the nilpotent part is an ideal"),
+            "minimal": (True, _COUNT),
+            "effective": (True, _COUNT),
+            "int_ker": (True, _COUNT),
+            "masa": (True, "[TRIVIAL] the diagonal is everything"),
+            "vnr": (False, "[DERIVED] no x solves u x u = u"),
+            "radical_dim": (1, "[DERIVED] the nilradical of the dual numbers"),
+            "fields": (False, "[TRIVIAL] u is a zero divisor"),
+            "siri_dims": ((2, 0, 2), "[DERIVED] one nonempty bisection"),
+        }),
 
-_add(Fixture(
-    "DUAL-P2", "sheaf", "pair groupoid over the dual numbers",
-    lambda: _const(pair_groupoid(2), dual_numbers()),
-    {
-        "dim": (8, _COUNT),
-        "n_ideals": (3, "[DERIVED] ideals of 2x2 matrices over a chain ring"),
-        "simple": (False, "[TRIVIAL] the nilpotent part is an ideal"),
-        "minimal": (True, _COUNT),
-        "effective": (True, _COUNT),
-        "int_ker": (True, _COUNT),
-        "masa": (True, _HAND),
-        "vnr": (False, "[DERIVED] no x solves u x u = u"),
-        "radical_dim": (4, "[DERIVED] matrices over the nilradical"),
-        "fields": (False, "[TRIVIAL] u is a zero divisor"),
-    }))
+    Fixture(
+        "DUAL-P2", "sheaf", "pair groupoid over the dual numbers",
+        lambda: _const(pair_groupoid(2), dual_numbers()),
+        {
+            "dim": (8, _COUNT),
+            "n_ideals": (3, "[DERIVED] ideals of 2x2 matrices over a chain ring"),
+            "simple": (False, "[TRIVIAL] the nilpotent part is an ideal"),
+            "minimal": (True, _COUNT),
+            "effective": (True, _COUNT),
+            "int_ker": (True, _COUNT),
+            "masa": (True, _HAND),
+            "vnr": (False, "[DERIVED] no x solves u x u = u"),
+            "radical_dim": (4, "[DERIVED] matrices over the nilradical"),
+            "fields": (False, "[TRIVIAL] u is a zero divisor"),
+        }),
 
-_add(Fixture(
-    "MIX", "sheaf", "pair groupoid next to an order-2 isotropy unit",
-    lambda: _const(disjoint_union(
-        pair_groupoid(2),
-        group_groupoid("w", ["w", "v"], cyclic_mul(["w", "v"]))),
-        scalar_algebra(GF(2))),
-    {
-        "dim": (6, _COUNT),
-        "n_ideals": (6, _IDEAL),
-        "simple": (False, "[TRIVIAL] two orbits"),
-        "minimal": (False, _COUNT),
-        "effective": (False, _COUNT),
-        "int_ker": (False, "[TRIVIAL] constant coefficients fix isotropy"),
-        "masa": (False, _HAND),
-        "vnr": (True, "[TRIVIAL] the stalk is a field"),
-        "radical_dim": (1, _WEDD),
-        "fields": (True, _COUNT),
-    }))
+    Fixture(
+        "MIX", "sheaf", "pair groupoid next to an order-2 isotropy unit",
+        lambda: _const(disjoint_union(
+            pair_groupoid(2),
+            group_groupoid("w", ["w", "v"], cyclic_mul(["w", "v"]))),
+            scalar_algebra(GF(2))),
+        {
+            "dim": (6, _COUNT),
+            "n_ideals": (6, _IDEAL),
+            "simple": (False, "[TRIVIAL] two orbits"),
+            "minimal": (False, _COUNT),
+            "effective": (False, _COUNT),
+            "int_ker": (False, "[TRIVIAL] constant coefficients fix isotropy"),
+            "masa": (False, _HAND),
+            "vnr": (True, "[TRIVIAL] the stalk is a field"),
+            "radical_dim": (1, _WEDD),
+            "fields": (True, _COUNT),
+        }),
 
-_add(Fixture(
-    "Z2XP2", "sheaf", "order-2 group bundle over the pair groupoid",
-    lambda: _const(z2_bundle_over_p2(), scalar_algebra(GF(2))),
-    {
-        "dim": (8, _COUNT),
-        "n_ideals": (3, "[DERIVED] 2x2 matrices over the local group algebra"),
-        "simple": (False, _WEDD),
-        "minimal": (True, _COUNT),
-        "effective": (False, _COUNT),
-        "int_ker": (False, "[TRIVIAL] constant coefficients fix isotropy"),
-        "masa": (False, _HAND),
-        "vnr": (True, "[TRIVIAL] the stalk is a field"),
-        "radical_dim": (4, "[DERIVED] matrices over the augmentation ideal"),
-        "fields": (True, _COUNT),
-    }))
+    Fixture(
+        "Z2XP2", "sheaf", "order-2 group bundle over the pair groupoid",
+        lambda: _const(z2_bundle_over_p2(), scalar_algebra(GF(2))),
+        {
+            "dim": (8, _COUNT),
+            "n_ideals": (3, "[DERIVED] 2x2 matrices over the local group algebra"),
+            "simple": (False, _WEDD),
+            "minimal": (True, _COUNT),
+            "effective": (False, _COUNT),
+            "int_ker": (False, "[TRIVIAL] constant coefficients fix isotropy"),
+            "masa": (False, _HAND),
+            "vnr": (True, "[TRIVIAL] the stalk is a field"),
+            "radical_dim": (4, "[DERIVED] matrices over the augmentation ideal"),
+            "fields": (True, _COUNT),
+        }),
 
-_add(Fixture(
-    "SWAP", "space_action", "order-2 group exchanging two points",
-    swap_action,
-    {
-        "topfree": (True, "[TRIVIAL] the swap fixes nothing"),
-        "n_orbits": (1, _COUNT),
-        "minimal_action": (True, _COUNT),
-        "germ_arrows": (4, "[DERIVED] germs collapse to the pair groupoid"),
-        "effective_germ": (True, "[DERIVED] germs collapse to the pair groupoid"),
-    }))
+    Fixture(
+        "SWAP", "space_action", "order-2 group exchanging two points",
+        swap_action,
+        {
+            "topfree": (True, "[TRIVIAL] the swap fixes nothing"),
+            "n_orbits": (1, _COUNT),
+            "minimal_action": (True, _COUNT),
+            "germ_arrows": (4, "[DERIVED] germs collapse to the pair groupoid"),
+            "effective_germ": (True, "[DERIVED] germs collapse to the pair groupoid"),
+        }),
 
-_add(Fixture(
-    "TRIVZ2", "space_action", "order-2 group acting trivially on a point",
-    trivial_z2_action,
-    {
-        "topfree": (False, "[TRIVIAL] g fixes the point but is not "
-                           "dominated by an idempotent"),
-        "n_orbits": (1, _COUNT),
-        "minimal_action": (True, _COUNT),
-        "germ_arrows": (2, "[DERIVED] the germ groupoid is the acting group"),
-        "effective_germ": (False, "[DERIVED] the germ groupoid is the "
-                                  "acting group"),
-    }))
+    Fixture(
+        "TRIVZ2", "space_action", "order-2 group acting trivially on a point",
+        trivial_z2_action,
+        {
+            "topfree": (False, "[TRIVIAL] g fixes the point but is not "
+                               "dominated by an idempotent"),
+            "n_orbits": (1, _COUNT),
+            "minimal_action": (True, _COUNT),
+            "germ_arrows": (2, "[DERIVED] the germ groupoid is the acting group"),
+            "effective_germ": (False, "[DERIVED] the germ groupoid is the "
+                                      "acting group"),
+        }),
 
-_add(Fixture(
-    "IDONLY", "space_action", "trivial semigroup on two points",
-    identity_only_action,
-    {
-        "topfree": (True, "[TRIVIAL] only the idempotent acts"),
-        "n_orbits": (2, _COUNT),
-        "minimal_action": (False, _COUNT),
-        "germ_arrows": (2, "[DERIVED] germs give two isolated units"),
-        "effective_germ": (True, "[DERIVED] germs give two isolated units"),
-    }))
+    Fixture(
+        "IDONLY", "space_action", "trivial semigroup on two points",
+        identity_only_action,
+        {
+            "topfree": (True, "[TRIVIAL] only the idempotent acts"),
+            "n_orbits": (2, _COUNT),
+            "minimal_action": (False, _COUNT),
+            "germ_arrows": (2, "[DERIVED] germs give two isolated units"),
+            "effective_germ": (True, "[DERIVED] germs give two isolated units"),
+        }),
 
-_add(Fixture(
-    "I2NAT", "space_action", "all partial bijections of two points",
-    natural_i2_action,
-    {
-        "topfree": (True, "[DERIVED] every fixed point sits inside the "
-                          "domain idempotent"),
-        "n_orbits": (1, _COUNT),
-        "minimal_action": (True, _COUNT),
-        "germ_arrows": (4, "[DERIVED] eight pairs collapse to four germs"),
-        "effective_germ": (True, "[DERIVED] germs collapse to the pair "
-                                 "groupoid"),
-    }))
+    Fixture(
+        "I2NAT", "space_action", "all partial bijections of two points",
+        natural_i2_action,
+        {
+            "topfree": (True, "[DERIVED] every fixed point sits inside the "
+                              "domain idempotent"),
+            "n_orbits": (1, _COUNT),
+            "minimal_action": (True, _COUNT),
+            "germ_arrows": (4, "[DERIVED] eight pairs collapse to four germs"),
+            "effective_germ": (True, "[DERIVED] germs collapse to the pair "
+                                     "groupoid"),
+        }),
 
-_add(Fixture(
-    "PSWAP", "partial_action", "partial swap of two points out of three",
-    lambda: (partial_swap_action(), QQ),
-    {
-        "tg_arrows": (5, "[DERIVED] three units plus two swap germs"),
-        "conv_dim": (5, _COUNT),
-        "quotient_dim": (5, "[DERIVED] the relation ideal of a group "
-                            "action is zero"),
-    }))
+    Fixture(
+        "PSWAP", "partial_action", "partial swap of two points out of three",
+        lambda: (partial_swap_action(), QQ),
+        {
+            "tg_arrows": (5, "[DERIVED] three units plus two swap germs"),
+            "conv_dim": (5, _COUNT),
+            "quotient_dim": (5, "[DERIVED] the relation ideal of a group "
+                                "action is zero"),
+        }),
 
-_add(Fixture(
-    "GSWAP", "partial_action", "global swap of two points",
-    lambda: (global_swap_action(), QQ),
-    {
-        "tg_arrows": (4, "[DERIVED] the transformation groupoid is the "
-                         "pair groupoid"),
-        "conv_dim": (4, _COUNT),
-        "quotient_dim": (4, "[DERIVED] the skew ring of a global action "
-                            "is the full crossed product"),
-    }))
+    Fixture(
+        "GSWAP", "partial_action", "global swap of two points",
+        lambda: (global_swap_action(), QQ),
+        {
+            "tg_arrows": (4, "[DERIVED] the transformation groupoid is the "
+                             "pair groupoid"),
+            "conv_dim": (4, _COUNT),
+            "quotient_dim": (4, "[DERIVED] the skew ring of a global action "
+                                "is the full crossed product"),
+        }),
 
-_add(Fixture(
-    "PTRIV", "partial_action", "trivial group on two points",
-    lambda: (trivial_partial_action(), QQ),
-    {
-        "tg_arrows": (2, _COUNT),
-        "conv_dim": (2, _COUNT),
-        "quotient_dim": (2, _COUNT),
-    }))
+    Fixture(
+        "PTRIV", "partial_action", "trivial group on two points",
+        lambda: (trivial_partial_action(), QQ),
+        {
+            "tg_arrows": (2, _COUNT),
+            "conv_dim": (2, _COUNT),
+            "quotient_dim": (2, _COUNT),
+        }),
 
-_add(Fixture(
-    "RA-SWAP", "ring_action", "order-2 group exchanging two field factors",
-    swap_ring_action,
-    {
-        "n_atoms": (2, "[TRIVIAL] the two coordinate idempotents"),
-        "germ_arrows": (4, "[DERIVED] the atom action germifies to the "
-                           "pair groupoid"),
-        "quotient_dim": (4, "[DERIVED] the skew ring is a 2x2 matrix ring"),
-    }))
+    Fixture(
+        "RA-SWAP", "ring_action", "order-2 group exchanging two field factors",
+        swap_ring_action,
+        {
+            "n_atoms": (2, "[TRIVIAL] the two coordinate idempotents"),
+            "germ_arrows": (4, "[DERIVED] the atom action germifies to the "
+                               "pair groupoid"),
+            "quotient_dim": (4, "[DERIVED] the skew ring is a 2x2 matrix ring"),
+        }),
 
-_add(Fixture(
-    "RA-TRIV", "ring_action", "trivial semigroup on two field factors",
-    trivial_ring_action,
-    {
-        "n_atoms": (2, "[TRIVIAL] the two coordinate idempotents"),
-        "germ_arrows": (2, "[DERIVED] two isolated atom germs"),
-        "quotient_dim": (2, _COUNT),
-    }))
+    Fixture(
+        "RA-TRIV", "ring_action", "trivial semigroup on two field factors",
+        trivial_ring_action,
+        {
+            "n_atoms": (2, "[TRIVIAL] the two coordinate idempotents"),
+            "germ_arrows": (2, "[DERIVED] two isolated atom germs"),
+            "quotient_dim": (2, _COUNT),
+        }),
 
-_add(Fixture(
-    "RA-GAL", "ring_action", "order-2 group twisting GF(4) by squaring",
-    galois_ring_action,
-    {
-        "n_atoms": (1, "[TRIVIAL] GF(4) has no idempotents besides 0 and 1"),
-        "germ_arrows": (2, "[DERIVED] a single atom with order-2 isotropy"),
-        "quotient_dim": (4, "[DERIVED] the skew ring is a 2x2 matrix ring"),
-    }))
+    Fixture(
+        "RA-GAL", "ring_action", "order-2 group twisting GF(4) by squaring",
+        galois_ring_action,
+        {
+            "n_atoms": (1, "[TRIVIAL] GF(4) has no idempotents besides 0 and 1"),
+            "germ_arrows": (2, "[DERIVED] a single atom with order-2 isotropy"),
+            "quotient_dim": (4, "[DERIVED] the skew ring is a 2x2 matrix ring"),
+        }),
+]
+CATALOG: dict[str, Fixture] = {fix.name: fix for fix in _FIXTURES}
+if len(CATALOG) != len(_FIXTURES):
+    raise InputError("duplicate fixture names in the catalog")
 
 
 def catalog_names() -> list[str]:
@@ -760,7 +756,7 @@ def _measured(rep: Report, read):
 def _sheaf_battery(built, seed: int, arrow_cap: int, ideal_cap: int):
     G, O = built
     conv = build_conv_algebra(G, O)
-    siri = isgring.verify_siri(G, O, arrow_cap)
+    siri = isgring.verify_siri(G, O, arrow_cap, conv)
     reports = [
         convalg.check_convolution_table(conv),
         convalg.check_bisection_convolution(conv, arrow_cap),

@@ -283,16 +283,16 @@ def validate_ring_action(act: SpectralRingAction) -> list[str]:
         if linalg.mat_vec(f, act.alpha[s], act.units[S.star[s]]) != act.units[s]:
             return [f"alpha[{s}] does not preserve domain units"]
     # composites restrict: where alpha_s after alpha_t is defined it
-    # agrees with alpha_{st}
+    # agrees with alpha_{st}.  proj[s] has kernel D_{s*}, and moved[t]
+    # holds the images under alpha_t of the basis of D_{t*}.
+    proj = {s: exactalg.quotient_coords(f, act.domain[S.star[s]])[0]
+            for s in S.elements}
+    moved = {t: [linalg.mat_vec(f, act.alpha[t], list(b))
+                 for b in act.domain[S.star[t]].basis] for t in S.elements}
     for s in S.elements:
         for t in S.elements:
             Dt = act.domain[S.star[t]]
-            Ds = act.domain[S.star[s]]
-            proj, _ = exactalg.quotient_coords(f, Ds)
-            rows = []
-            for b in Dt.basis:
-                rows.append(linalg.mat_vec(
-                    f, proj, linalg.mat_vec(f, act.alpha[t], list(b))))
+            rows = [linalg.mat_vec(f, proj[s], w) for w in moved[t]]
             ker = linalg.kernel_basis(f, linalg.transpose(rows), Dt.dim) \
                 if Dt.dim else []
             st = S.mul[s, t]
@@ -776,10 +776,13 @@ def bisection_ring_action(conv: ConvAlgebra,
 
 
 def siri_data(G: FiniteGroupoid, O: GSheafOfAlgebras,
-              arrow_cap: int = ARROW_CAP) -> SkewRealization:
+              arrow_cap: int = ARROW_CAP,
+              conv: ConvAlgebra | None = None) -> SkewRealization:
     """Skew ring of the bisection action, with its map into Gamma_c,
-    which sends a delta_U to the convolution a * chi_U."""
-    conv = build_conv_algebra(G, O)
+    which sends a delta_U to the convolution a * chi_U.  Gamma_c is
+    built when not given."""
+    if conv is None:
+        conv = build_conv_algebra(G, O)
     act, member, embed = bisection_ring_action(conv, arrow_cap)
 
     def images(U, a):
@@ -789,14 +792,15 @@ def siri_data(G: FiniteGroupoid, O: GSheafOfAlgebras,
 
 
 def verify_siri(G: FiniteGroupoid, O: GSheafOfAlgebras,
-                arrow_cap: int = ARROW_CAP) -> Report:
+                arrow_cap: int = ARROW_CAP,
+                conv: ConvAlgebra | None = None) -> Report:
     """The convolution algebra is the skew ring of its bisection action."""
     hyp = {"arrows within bisection cap": len(G.arrows) <= arrow_cap}
     if not hyp["arrows within bisection cap"]:
         return skip_report("siri", hyp,
                            caps_hit=[f"{len(G.arrows)} arrows > {arrow_cap}"])
     try:
-        real = siri_data(G, O, arrow_cap)
+        real = siri_data(G, O, arrow_cap, conv)
     except CheckFailure as exc:
         return Report(check="siri", hypotheses=hyp, passed=False,
                       witnesses={"error": str(exc)})
@@ -1110,7 +1114,7 @@ def verify_partial_crossed(act: PartialGroupAction, field: Field,
 
     sub = None
     if len(G.arrows) <= arrow_cap:
-        sub = verify_siri(G, O, arrow_cap)
+        sub = verify_siri(G, O, arrow_cap, conv)
     rep = Report(
         check="partial-crossed", hypotheses={},
         lhs={"dim skew ring": real.skew.quotient.dim},

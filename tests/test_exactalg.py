@@ -116,6 +116,16 @@ def test_ideal_counts():
     assert len(enumerate_two_sided_ideals(dual_numbers())) == 3
 
 
+def test_is_ideal_rejects_an_unknown_side():
+    A = dual_numbers()
+    S = Subspace.from_vectors(A.field, 2, [[1, 0]])  # span{1}
+    assert not is_ideal(A, S, "two")
+    assert is_ideal(A, Subspace.from_vectors(A.field, 2, [[0, 1]]), "two")
+    with pytest.raises(AlgebraError, match="sided must be left/right/two, "
+                                           "got 'both'"):
+        is_ideal(A, S, "both")
+
+
 def test_ideal_generated_is_smallest():
     A = s3_algebra(2)
     rng = random.Random(0)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from gsheaf import isgring
+from gsheaf import convalg, exactalg, fixtures, isgring
 from gsheaf.errors import InputError
 from gsheaf.fixtures import (CATALOG, MIN_CATALOG, catalog_names,
                              get_fixture, run_catalog, run_fixture)
@@ -109,25 +109,46 @@ def test_report_line_format():
 
 
 def test_each_fixture_builds_its_skew_ring_once(monkeypatch):
-    # the expectations read the battery's reports instead of rebuilding
-    calls = {}
+    # the expectations read the battery's reports instead of rebuilding,
+    # SIRI reuses the battery's convolution algebra, and each memoized
+    # invariant runs its body once per algebra (and seed)
+    calls, args = {}, {}
 
-    def counted(name):
-        original = getattr(isgring, name)
+    def count(module, name):
+        original = getattr(module, name)
 
-        def wrapper(*args, **kwargs):
+        def wrapper(*a, **kwargs):
             calls[name] = calls.get(name, 0) + 1
-            return original(*args, **kwargs)
-        return wrapper
+            args.setdefault(name, []).append(a)
+            return original(*a, **kwargs)
+        # every module that imported the function by name calls it so
+        for mod in (convalg, exactalg, fixtures, isgring):
+            if getattr(mod, name, None) is original:
+                monkeypatch.setattr(mod, name, wrapper)
 
-    names = ("skew_isg_ring", "siri_data", "pierce_data", "pierce_atoms",
-             "dual_ring_action", "transformation_groupoid")
-    for name in names:
-        monkeypatch.setattr(isgring, name, counted(name))
+    for name in ("skew_isg_ring", "siri_data", "pierce_data", "pierce_atoms",
+                 "dual_ring_action", "transformation_groupoid"):
+        count(isgring, name)
+    for name in ("validate_algebra", "_two_sided_ideals",
+                 "_density_certificate", "_radical", "_central_idempotents"):
+        count(exactalg, name)
+    count(convalg, "build_conv_algebra")
+    count(convalg, "_centralizer_of_diagonal")
     run_catalog(seed=0)
     assert calls == {"skew_isg_ring": 23, "siri_data": 17, "pierce_data": 3,
                      "pierce_atoms": 3, "dual_ring_action": 3,
-                     "transformation_groupoid": 3}
+                     "transformation_groupoid": 3,
+                     "build_conv_algebra": 26, "validate_algebra": 104,
+                     "_two_sided_ideals": 13, "_density_certificate": 18,
+                     "_centralizer_of_diagonal": 17, "_radical": 32,
+                     "_central_idempotents": 16}
+    # the wrappers keep every argument alive, so ids are not reused
+    for name in ("_two_sided_ideals", "_density_certificate",
+                 "_centralizer_of_diagonal", "_central_idempotents"):
+        seen = [id(a[0]) for a in args[name]]
+        assert len(set(seen)) == len(seen), name
+    seen = [(id(A), seed, recheck) for A, seed, recheck in args["_radical"]]
+    assert len(set(seen)) == len(seen)
 
 
 def test_siri_dims_skips_with_the_siri_cap(monkeypatch):

@@ -236,6 +236,37 @@ def test_ring_action_rejects_non_multiplicative_alpha():
     assert any("multiplicative" in m for m in validate_ring_action(act))
 
 
+def test_ring_action_rejects_a_composite_that_escapes_its_domain():
+    # the semilattice {a, b, z} with ab = z: D_a and D_b are everything
+    # but D_z is 0, so alpha_a o alpha_b is defined where alpha_z is not;
+    # every axiom before the composites holds
+    A = scalar_algebra(GF(2))
+    mul = {(x, y): x if x == y else "z" for x in "abz" for y in "abz"}
+    S = FiniteInverseSemigroup("abz", mul, {x: x for x in "abz"})
+    full, zero = Subspace.full(A.field, 1), Subspace.zero(A.field, 1)
+    one = linalg.identity_matrix(A.field, 1)
+    act = SpectralRingAction(S, A, {"a": full, "b": full, "z": zero},
+                             {x: one for x in "abz"}, validate=False)
+    assert validate_ring_action(act) == [
+        "composite domain of (a,b) escapes D_z"]
+
+
+def test_ring_action_rejects_a_composite_that_disagrees():
+    # Z3 acting on GF(2) x GF(2) with alpha_g = alpha_h = the swap: h
+    # inverts g and every axiom before the composites holds, but
+    # alpha_g o alpha_g is the identity while alpha_h is the swap
+    A = _diag_f2_squared()
+    S = FiniteInverseSemigroup(["1", "g", "h"], cyclic_mul(["1", "g", "h"]),
+                               {"1": "1", "g": "h", "h": "g"})
+    full = Subspace.full(A.field, 2)
+    swap = [[0, 1], [1, 0]]
+    act = SpectralRingAction(S, A, {s: full for s in "1gh"},
+                             {"1": linalg.identity_matrix(A.field, 2),
+                              "g": swap, "h": swap}, validate=False)
+    assert validate_ring_action(act) == [
+        "alpha[g] o alpha[g] disagrees with alpha[h]"]
+
+
 def test_domain_units_are_central_idempotents():
     act = swap_ring_action()
     assert validate_ring_action(act) == []

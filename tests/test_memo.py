@@ -1,0 +1,152 @@
+"""Memoized invariants: each algebra computes each answer once, and the
+remembered answer is the one a fresh copy of the algebra computes."""
+
+import pytest
+
+from gsheaf import convalg, exactalg, fixtures, isgring
+from gsheaf.convalg import ConvAlgebra, centralizer_of_diagonal
+from gsheaf.errors import AlgebraError, CapExceeded
+from gsheaf.exactalg import (FDAlgebra, Subspace, central_primitive_idempotents,
+                             enumerate_two_sided_ideals, find_unit, is_simple,
+                             jacobson_radical, matrix_algebra, subalgebra_on)
+from gsheaf.fields import GF
+from gsheaf.fixtures import CATALOG, dual_numbers, run_catalog, swap_ring_action
+
+
+def fresh(A):
+    return FDAlgebra(A.field, A.labels, A.table, A.unit)
+
+
+def answer(fn, *args):
+    """The value, or the type and text of the error, of fn(*args)."""
+    try:
+        return fn(*args)
+    except (AlgebraError, CapExceeded) as exc:
+        return type(exc), str(exc)
+
+
+def memoized_answers(A):
+    return [answer(is_simple, A), answer(jacobson_radical, A, 0),
+            answer(enumerate_two_sided_ideals, A),
+            answer(central_primitive_idempotents, A)]
+
+
+@pytest.fixture(scope="module")
+def catalog_objects():
+    """The convolution algebras, ring actions and skew rings that
+    run_catalog(seed=0) builds, with the memos the catalog left on them."""
+    convs, ring_algebras = [], []
+
+    def recording(real, store, pick):
+        def wrapper(*args, **kwargs):
+            out = real(*args, **kwargs)
+            store.append(pick(out))
+            return out
+        return wrapper
+
+    with pytest.MonkeyPatch.context() as mp:
+        conv_rec = recording(convalg.build_conv_algebra, convs, lambda c: c)
+        for mod in (convalg, fixtures, isgring):
+            mp.setattr(mod, "build_conv_algebra", conv_rec)
+        mp.setattr(isgring, "skew_isg_ring", recording(
+            isgring.skew_isg_ring, ring_algebras,
+            lambda R: (R.action.algebra, R.quotient)))
+        run_catalog(seed=0)
+    algebras = {}
+    for conv in convs:
+        for A in [conv.algebra, *conv.sheaf.stalk.values()]:
+            algebras[id(A)] = A
+    for pair in ring_algebras:
+        for A in pair:
+            algebras[id(A)] = A
+    finite = [A for A in algebras.values() if A.field.is_finite]
+    return [c for c in convs if c.field.is_finite], finite
+
+
+def test_memoized_answers_match_a_fresh_copy(catalog_objects):
+    convs, algebras = catalog_objects
+    assert len(convs) >= 20 and len(algebras) >= 60
+    # the catalog asked questions of at least the convolution algebras of
+    # its 15 finite-field sheaf fixtures, so those answers come from the memo
+    assert sum("_memo" in vars(A) for A in algebras) >= 15
+    for A in algebras:
+        assert memoized_answers(A) == memoized_answers(fresh(A)), A.labels
+
+
+def test_memoized_diagonal_centralizer_matches_a_fresh_copy(catalog_objects):
+    convs, _ = catalog_objects
+    # the sheaf battery asks for it on its 15 finite-field fixtures
+    assert sum("_memo" in vars(conv) for conv in convs) == 15
+    for conv in convs:
+        copy = ConvAlgebra(conv.groupoid, conv.sheaf, fresh(conv.algebra))
+        assert centralizer_of_diagonal(conv) == centralizer_of_diagonal(copy)
+
+
+def test_a_smaller_cap_still_raises_after_a_larger_one():
+    A = matrix_algebra(GF(2), 2)
+    assert len(enumerate_two_sided_ideals(A, 8)) == 2
+    with pytest.raises(CapExceeded) as caught:
+        enumerate_two_sided_ideals(A, 2)
+    assert str(caught.value) == answer(enumerate_two_sided_ideals, fresh(A), 2)[1]
+    assert str(caught.value) == "ideal enumeration capped at dim 2, algebra has dim 4"
+
+
+def test_returned_answers_are_copies():
+    A = exactalg.group_algebra(GF(2), [0, 1, 2],
+                               lambda g, h: (g + h) % 3)
+    ideals = enumerate_two_sided_ideals(A)
+    first = list(ideals)
+    ideals.clear()
+    assert enumerate_two_sided_ideals(A) == first
+    idems = central_primitive_idempotents(A)
+    first = [list(e) for e in idems]
+    idems[0][0] = 1 - idems[0][0]
+    idems.append([0, 0, 0])
+    assert central_primitive_idempotents(A) == first
+    assert len(first) == 2  # GF(2)[Z3] = GF(2) x GF(4)
+
+
+def test_the_radical_is_remembered_per_seed(monkeypatch):
+    seeds = []
+    real = exactalg._radical
+    monkeypatch.setattr(exactalg, "_radical",
+                        lambda A, seed, recheck: seeds.append((seed, recheck))
+                        or real(A, seed, recheck))
+    A = dual_numbers()
+    J = jacobson_radical(A, 0)
+    assert jacobson_radical(A, 0) == J == jacobson_radical(A, 1)
+    # the quotient A/J is a fresh algebra, checked without a recheck
+    assert seeds == [(0, True), (0, False), (1, True), (1, False)]
+
+
+def test_no_answer_outlives_a_change_of_unit(monkeypatch):
+    runs = []
+    real = exactalg._two_sided_ideals
+    monkeypatch.setattr(exactalg, "_two_sided_ideals",
+                        lambda A: runs.append(A.unit) or real(A))
+    D = dual_numbers()
+    A = FDAlgebra(D.field, D.labels, D.table)  # the unit not yet found
+    scanned = enumerate_two_sided_ideals(A)
+    with pytest.raises(AlgebraError):
+        is_simple(A)
+    A.unit = tuple(find_unit(A))  # as subalgebra_on and SkewRing do
+    assert enumerate_two_sided_ideals(A) == scanned
+    assert not is_simple(A)
+    assert runs == [None, (1, 0)]
+    # subalgebra_on assigns the unit it finds, and the skew ring assigns
+    # the units of L and of its quotient; each answers like a fresh copy
+    B = subalgebra_on(D, Subspace.full(D.field, 2))
+    skew = isgring.skew_isg_ring(swap_ring_action())
+    for C in (B, skew.L, skew.quotient):
+        assert C.unit is not None
+        assert memoized_answers(C) == memoized_answers(fresh(C))
+
+
+def test_the_catalog_answers_the_same_twice_in_one_process():
+    def report_json(run):
+        return {name: [rep.to_json() for rep in reps]
+                for name, reps in run.items()}
+
+    first = report_json(run_catalog(seed=0))
+    assert report_json(run_catalog(seed=0)) == first
+    assert len(first) == len(CATALOG)
