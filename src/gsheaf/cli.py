@@ -168,7 +168,7 @@ def cmd_ideals(args) -> int:
 def cmd_radical(args) -> int:
     G, O = _load_sheaf(args.file)
     conv = build_conv_algebra(G, O)
-    J = exactalg.jacobson_radical(conv.algebra, args.seed)
+    J = exactalg.jacobson_radical(conv.algebra)
     f = conv.field
     _print({
         "algebra_dim": conv.dim,
@@ -266,7 +266,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="exact convolution algebras of finite groupoids "
                     "with sheaf coefficients")
     p.add_argument("--seed", type=int, default=0,
-                   help="seed for randomized module searches (default 0)")
+                   help="accepted for compatibility; every check is "
+                        "deterministic, so it changes no answer (default 0)")
     p.add_argument("--cap-arrows", type=int, default=8, dest="cap_arrows",
                    help="arrow cap for bisection enumerations (default 8)")
     p.add_argument("--cap-ideal-dim", type=int, default=8,

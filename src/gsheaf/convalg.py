@@ -395,9 +395,11 @@ def check_primitivity(G: FiniteGroupoid, O: GSheafOfAlgebras,
 
 def check_semiprimitivity(G: FiniteGroupoid, O: GSheafOfAlgebras,
                           conv: ConvAlgebra | None = None, seed: int = 0) -> Report:
-    """Sheaf of fields with masa diagonal => zero Jacobson radical."""
+    """Sheaf of fields with masa diagonal => zero Jacobson radical.
+
+    seed is accepted for compatibility and changes no answer."""
     def decide(conv):
-        J = exactalg.jacobson_radical(conv.algebra, seed)
+        J = exactalg.jacobson_radical(conv.algebra)
         return dict(lhs={"radical dim": J.dim}, rhs={"radical dim": 0},
                     passed=J.is_zero(),
                     witnesses={} if J.is_zero() else {

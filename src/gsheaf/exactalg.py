@@ -15,7 +15,6 @@ act on column vectors: (a.m) = rho(a) @ m and rho(a b) = rho(a) rho(b).
 from __future__ import annotations
 
 import itertools
-import random
 
 from . import linalg
 from .errors import AlgebraError, CapExceeded, CheckFailure
@@ -26,8 +25,6 @@ IDEAL_DIM_CAP = 8
 SIMPLICITY_POINT_BUDGET = 10**6
 RADICAL_ORDER_CAP = 2**12
 VNR_ORDER_CAP = 2**16
-MEATAXE_DIM_CAP = 64
-MEATAXE_RANDOM_TRIES = 500
 
 
 class Subspace:
@@ -250,12 +247,6 @@ class AlgebraModule:
     def action_matrix(self, v):
         return linalg.combine_matrices(self.field, v, self.mats, self.dim)
 
-    def act(self, v, m):
-        return linalg.mat_vec(self.field, self.action_matrix(v), m)
-
-    def act_basis(self, i, m):
-        return linalg.mat_vec(self.field, self.mats[i], m)
-
     def validate(self) -> list[str]:
         """Module axioms: compatibility on basis pairs, unit acts as id."""
         A = self.algebra
@@ -317,12 +308,6 @@ def validate_algebra(A: FDAlgebra) -> list[str]:
     return bad
 
 
-def require_valid_algebra(A: FDAlgebra) -> None:
-    bad = validate_algebra(A)
-    if bad:
-        raise AlgebraError("; ".join(bad[:3]))
-
-
 def memoized(obj, key, compute, *args):
     """compute(obj, *args), run once per obj and key.  The memo lives on
     obj, so it dies with obj, and is dropped when obj.unit changes."""
@@ -368,35 +353,27 @@ def ideal_generated(A: FDAlgebra, gens, sided: str = "two",
     """
     if sided not in ("left", "right", "two"):
         raise AlgebraError(f"sided must be left/right/two, got {sided!r}")
-    span = IncrementalSpan(A.field, A.dim)
-    L = A.left_basis_mats()
-    R = A.right_basis_mats()
     f = A.field
-    for g in gens:
-        g = list(g)
-        span.add(g)
-        if stop_at_full and span.is_full():
-            return Subspace(A.field, A.dim, span.rows, span.pivots)
+    L = A.left_basis_mats() if sided != "right" else []
+    R = A.right_basis_mats() if sided != "left" else []
+
+    def images(g):
+        """g, then b_i g, then g b_j and b_i g b_j, computed on demand."""
+        yield g
         lefts = []
-        if sided in ("left", "two"):
-            for i in range(A.dim):
-                w = linalg.mat_vec(f, L[i], g)
-                lefts.append(w)
-                span.add(w)
-                if stop_at_full and span.is_full():
-                    return Subspace(A.field, A.dim, span.rows, span.pivots)
-        if sided in ("right", "two"):
-            for j in range(A.dim):
-                span.add(linalg.mat_vec(f, R[j], g))
-                if stop_at_full and span.is_full():
-                    return Subspace(A.field, A.dim, span.rows, span.pivots)
-        if sided == "two":
-            for w in lefts:
-                for j in range(A.dim):
-                    span.add(linalg.mat_vec(f, R[j], w))
-                    if stop_at_full and span.is_full():
-                        return Subspace(A.field, A.dim, span.rows, span.pivots)
-    return Subspace(A.field, A.dim, span.rows, span.pivots)
+        for Li in L:
+            lefts.append(linalg.mat_vec(f, Li, g))
+            yield lefts[-1]
+        for w in [g] + lefts:
+            for Rj in R:
+                yield linalg.mat_vec(f, Rj, w)
+
+    span = IncrementalSpan(f, A.dim)
+    for w in itertools.chain.from_iterable(images(list(g)) for g in gens):
+        span.add(w)
+        if stop_at_full and span.is_full():
+            break
+    return Subspace(f, A.dim, span.rows, span.pivots)
 
 
 def is_ideal(A: FDAlgebra, S: Subspace, sided: str = "two") -> bool:
@@ -728,7 +705,7 @@ def _density_certificate(A: FDAlgebra) -> bool:
     return _bimodule_rank(A, target) == target
 
 
-def simplicity_witness(A: FDAlgebra, point_budget: int = SIMPLICITY_POINT_BUDGET):
+def simplicity_witness(A: FDAlgebra):
     """None when A is simple; else a vector generating a proper nonzero ideal.
 
     Simplicity is decided by the certificate of is_simple, so a simple
@@ -742,7 +719,7 @@ def simplicity_witness(A: FDAlgebra, point_budget: int = SIMPLICITY_POINT_BUDGET
     """
     if is_simple(A):
         return None
-    if num_projective_points(A.field, A.dim) <= point_budget:
+    if num_projective_points(A.field, A.dim) <= SIMPLICITY_POINT_BUDGET:
         wit = _scan_simplicity_witness(A)
         if wit is None:
             raise CheckFailure("simplicity certificate rejects an algebra whose "
@@ -767,10 +744,18 @@ def _scan_simplicity_witness(A: FDAlgebra):
     sound and complete over a finite base field at (p^n - 1)/(p - 1) ideal
     generations.
     """
-    for v in projective_points(A.field, A.dim):
-        I = ideal_generated(A, [v], "two", stop_at_full=True)
-        if not I.is_full():
-            return tuple(v)
+    hit = _first_proper(projective_points(A.field, A.dim),
+                        lambda v: ideal_generated(A, [v], "two", stop_at_full=True))
+    return tuple(hit[0]) if hit else None
+
+
+def _first_proper(points, generate):
+    """(v, generate(v)) for the first point v that generates a proper
+    subspace, or None when every point generates the whole space."""
+    for v in points:
+        S = generate(v)
+        if not S.is_full():
+            return v, S
     return None
 
 
@@ -803,19 +788,14 @@ def annihilator(M: AlgebraModule) -> Subspace:
 def submodule_generated(M: AlgebraModule, vectors,
                         stop_at_full: bool = False) -> Subspace:
     """Smallest submodule containing the vectors (span of v and rho(b_i)v)."""
-    A = M.algebra
     f = M.field
-    if A.unit is None:
+    if M.algebra.unit is None:
         raise AlgebraError("submodule generation assumes a unital algebra")
     span = IncrementalSpan(f, M.dim)
-    for v in vectors:
-        span.add(list(v))
-        if stop_at_full and span.is_full():
-            break
-        for i in range(A.dim):
-            span.add(linalg.mat_vec(f, M.mats[i], list(v)))
-            if stop_at_full and span.is_full():
-                break
+    for w in itertools.chain.from_iterable(
+            itertools.chain([v], (linalg.mat_vec(f, X, v) for X in M.mats))
+            for v in vectors):
+        span.add(w)
         if stop_at_full and span.is_full():
             break
     return Subspace(f, M.dim, span.rows, span.pivots)
@@ -830,25 +810,80 @@ def is_submodule(M: AlgebraModule, S: Subspace) -> bool:
     return True
 
 
-def module_simplicity_witness(M: AlgebraModule,
-                              point_budget: int = SIMPLICITY_POINT_BUDGET):
-    """None when M is simple; else a vector generating a proper nonzero submodule."""
+def module_simplicity_witness(M: AlgebraModule):
+    """None when M is simple; else a proper nonzero submodule.
+
+    The one irreducibility engine.  Within SIMPLICITY_POINT_BUDGET
+    projective points it scans them in order and returns the submodule
+    generated by the first point that does not generate M.  Beyond the
+    budget it runs Norton's test (_norton_witness).  Deterministic.
+    """
     if M.dim == 0:
         raise AlgebraError("the zero module is not simple")
-    if not M.field.is_finite:
-        raise CapExceeded("module simplicity test needs a finite base field")
-    if num_projective_points(M.field, M.dim) > point_budget:
-        raise CapExceeded("too many projective points for the module simplicity test")
-    for v in projective_points(M.field, M.dim):
-        S = submodule_generated(M, [v], stop_at_full=True)
-        if not S.is_full():
-            return tuple(v)
-    return None
+    if num_projective_points(M.field, M.dim) > SIMPLICITY_POINT_BUDGET:
+        return _norton_witness(M)
+    return _cyclic_witness(M, projective_points(M.field, M.dim))
 
 
-def is_simple_module(M: AlgebraModule,
-                     point_budget: int = SIMPLICITY_POINT_BUDGET) -> bool:
-    return module_simplicity_witness(M, point_budget) is None
+def _cyclic_witness(M: AlgebraModule, points):
+    """The proper submodule generated by the first of points that
+    generates one, or None."""
+    hit = _first_proper(points,
+                        lambda v: submodule_generated(M, [v], stop_at_full=True))
+    return hit[1] if hit else None
+
+
+def _norton_witness(M: AlgebraModule):
+    """Norton's irreducibility test (Holt & Rees 1994): None when M is
+    simple, else a proper nonzero submodule.
+
+    A proper submodule U either meets ker theta (see _norton_theta), or
+    theta is invertible on U; then ker theta^T lies in U^perp, a proper
+    submodule of the dual (transposed) module.  So M is simple exactly
+    when every point of ker theta and one vector of ker theta^T generate
+    everything.  Complete when ker theta has at most
+    SIMPLICITY_POINT_BUDGET points; raises CapExceeded otherwise.
+    """
+    f, n = M.field, M.dim
+    found = _norton_theta(M)
+    if found is None or num_projective_points(f, len(found[1])) > SIMPLICITY_POINT_BUDGET:
+        raise CapExceeded("no basis element minus a scalar has a nonzero kernel "
+                          f"of at most {SIMPLICITY_POINT_BUDGET} projective points")
+    theta, ker = found
+    cols = linalg.transpose(ker)
+    S = _cyclic_witness(M, (linalg.mat_vec(f, cols, c)
+                            for c in projective_points(f, len(ker))))
+    if S is not None:
+        return S
+    # a module over the opposite algebra; generation reads only the mats
+    dual = AlgebraModule(M.algebra, n, [linalg.transpose(X) for X in M.mats])
+    w = linalg.kernel_basis(f, linalg.transpose(theta), n)[0]
+    W = _cyclic_witness(dual, [w])
+    if W is None:
+        return None
+    return Subspace.from_vectors(f, n, linalg.kernel_basis(f, W.basis, n))
+
+
+def _norton_theta(M: AlgebraModule):
+    """(theta, basis of ker theta) for the theta = rho(b_i) - c, over basis
+    elements b_i and scalars c in order, with the smallest nonzero
+    kernel; None when every such theta is invertible."""
+    f, n = M.field, M.dim
+    best = None
+    for X in M.mats:
+        for c in f.elements():
+            theta = [[f.sub(a, c) if r == k else a for k, a in enumerate(row)]
+                     for r, row in enumerate(X)]
+            ker = linalg.kernel_basis(f, theta, n)
+            if ker and (best is None or len(ker) < len(best[1])):
+                best = theta, ker
+                if len(ker) == 1:
+                    return best
+    return best
+
+
+def is_simple_module(M: AlgebraModule) -> bool:
+    return module_simplicity_witness(M) is None
 
 
 def quotient_coords(field: Field, N: Subspace):
@@ -964,48 +999,15 @@ def simple_modules_isomorphic(M: AlgebraModule, N: AlgebraModule) -> bool:
 # composition-factor search (meataxe-flavoured, deterministic)
 
 
-def _proper_cyclic_submodule(M: AlgebraModule, rng: random.Random,
-                             point_budget: int):
-    """A nonzero proper submodule, or None when M is simple.
-
-    Scans cyclic submodules over all projective points; when the point
-    count exceeds the budget, falls back to seeds drawn from kernels of
-    random algebra elements and gives up loudly if that fails.
-    """
-    n_points = num_projective_points(M.field, M.dim)
-    if n_points <= point_budget:
-        for v in projective_points(M.field, M.dim):
-            S = submodule_generated(M, [v], stop_at_full=True)
-            if not S.is_full():
-                return S
-        return None
-    f = M.field
-    scalars = list(f.elements())
-    for _ in range(MEATAXE_RANDOM_TRIES):
-        a = [scalars[rng.randrange(len(scalars))] for _ in range(M.algebra.dim)]
-        ker = linalg.kernel_basis(f, M.action_matrix(a), M.dim)
-        seeds = ker if ker else [[scalars[rng.randrange(len(scalars))]
-                                  for _ in range(M.dim)]]
-        for v in seeds:
-            if linalg.vec_is_zero(v):
-                continue
-            S = submodule_generated(M, [v], stop_at_full=True)
-            if not S.is_full():
-                return S
-    raise CapExceeded("could not certify simplicity within the random-search budget")
-
-
-def find_maximal_submodule(M: AlgebraModule, seed: int = 0,
-                           point_budget: int = SIMPLICITY_POINT_BUDGET) -> Subspace:
+def find_maximal_submodule(M: AlgebraModule) -> Subspace:
     """A maximal proper submodule of a nonzero module."""
     if M.dim == 0:
         raise AlgebraError("the zero module has no maximal submodule")
-    rng = random.Random(seed)
     f = M.field
     N = Subspace.zero(f, M.dim)
     while True:
-        Q, proj = quotient_module(M, N)
-        P = _proper_cyclic_submodule(Q, rng, point_budget)
+        Q, _ = quotient_module(M, N)
+        P = module_simplicity_witness(Q)
         if P is None:
             return N
         _, lift = quotient_coords(f, N)
@@ -1013,9 +1015,7 @@ def find_maximal_submodule(M: AlgebraModule, seed: int = 0,
         N = Subspace.from_vectors(f, M.dim, list(N.basis) + lifted)
 
 
-def meataxe_simple_quotients(M: AlgebraModule, seed: int = 0,
-                             point_budget: int = SIMPLICITY_POINT_BUDGET,
-                             dim_cap: int = MEATAXE_DIM_CAP) -> list[AlgebraModule]:
+def meataxe_simple_quotients(M: AlgebraModule) -> list[AlgebraModule]:
     """Pairwise non-isomorphic simple quotients of M.
 
     Walks a composition series (maximal submodule, quotient, recurse on the
@@ -1023,14 +1023,12 @@ def meataxe_simple_quotients(M: AlgebraModule, seed: int = 0,
     a nonzero hom from M -- exactly the simple quotients, covering every
     composition factor of M modulo its radical.
     """
-    if M.dim > dim_cap:
-        raise CapExceeded(f"composition-factor search capped at dim {dim_cap}")
     factors: list[AlgebraModule] = []
 
     def walk(mod: AlgebraModule):
         if mod.dim == 0:
             return
-        N = find_maximal_submodule(mod, seed, point_budget)
+        N = find_maximal_submodule(mod)
         S, _ = quotient_module(mod, N)
         if not any(simple_modules_isomorphic(S, T) for T in factors):
             factors.append(S)
@@ -1050,17 +1048,18 @@ def jacobson_radical(A: FDAlgebra, seed: int = 0, _recheck: bool = True) -> Subs
 
     Self-certifying: the result must be a nilpotent two-sided ideal with
     J^k = 0 for some k <= dim, and A/J must have zero radical on re-run.
-    Computed once per algebra and seed.
+    Computed once per algebra.  The search is deterministic, so seed is
+    accepted for compatibility and changes no answer.
     """
     if A.unit is None:
         raise AlgebraError("radical needs a unital algebra")
     if A.dim == 0:
         return Subspace.zero(A.field, 0)
-    return memoized(A, ("radical", seed, _recheck), _radical, seed, _recheck)
+    return memoized(A, ("radical", _recheck), _radical, _recheck)
 
 
-def _radical(A: FDAlgebra, seed: int, recheck: bool) -> Subspace:
-    simples = meataxe_simple_quotients(regular_module(A), seed)
+def _radical(A: FDAlgebra, recheck: bool) -> Subspace:
+    simples = meataxe_simple_quotients(regular_module(A))
     J = Subspace.full(A.field, A.dim)
     for S in simples:
         J = J.intersect(annihilator(S))
@@ -1079,7 +1078,7 @@ def _radical(A: FDAlgebra, seed: int, recheck: bool) -> Subspace:
         k += 1
     if recheck and not J.is_full():
         Q, _ = quotient_algebra(A, J)
-        if not jacobson_radical(Q, seed, _recheck=False).is_zero():
+        if not jacobson_radical(Q, _recheck=False).is_zero():
             raise CheckFailure("A modulo its radical has nonzero radical")
     return J
 
@@ -1208,25 +1207,40 @@ def subalgebra_on(A: FDAlgebra, S: Subspace, labels=None) -> FDAlgebra:
     return B
 
 
-def find_unit(A: FDAlgebra):
-    """A two-sided identity vector, or None."""
+def find_unit(A: FDAlgebra, within: Subspace | None = None):
+    """A two-sided identity vector of A, or with within the identity of
+    that subspace (an ideal, say); None when there is none.
+
+    The unknowns are the coordinates of u over the basis d_k of within
+    (of A by default), and u d_m = d_m = d_m u are read equation by
+    equation from the sparse products.
+    """
     f = A.field
-    n = A.dim
+    if within is None:
+        basis = [A.basis_vector(i) for i in range(A.dim)]
+        table = A.nonzero_table()
+    else:
+        basis = [list(b) for b in within.basis]
+        table = [[[(r, t) for r, t in enumerate(A.mul(u, v)) if t != 0]
+                  for v in basis] for u in basis]
+    n = len(basis)
     if n == 0:
         return None
     rows, rhs = [], []
-    R = A.right_basis_mats()
-    L = A.left_basis_mats()
-    for i in range(n):
-        e = A.basis_vector(i)
-        # u * b_i = b_i  -> R_i @ u = e_i ; b_i * u = b_i -> L_i @ u = e_i
-        for r in range(n):
-            rows.append(list(R[i][r]))
-            rhs.append(e[r])
-        for r in range(n):
-            rows.append(list(L[i][r]))
-            rhs.append(e[r])
-    return linalg.solve(f, rows, rhs)
+    for m, d in enumerate(basis):
+        for side in ([table[k][m] for k in range(n)], table[m]):
+            eqs: dict[int, list] = {}
+            for k, prod in enumerate(side):
+                for r, t in prod:
+                    eqs.setdefault(r, linalg.zero_vector(f, n))[k] = t
+            if any(c != 0 and r not in eqs for r, c in enumerate(d)):
+                return None  # u d_m or d_m u misses a coordinate of d_m
+            rows += eqs.values()
+            rhs += [d[r] for r in eqs]
+    x = linalg.solve(f, rows, rhs)
+    if x is None or within is None:
+        return x
+    return linalg.mat_vec(f, linalg.transpose(basis), x)
 
 
 def check_ring_iso(A: FDAlgebra, B: FDAlgebra, mat) -> bool:

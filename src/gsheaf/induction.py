@@ -492,7 +492,8 @@ def verify_effros_hahn(conv: ConvAlgebra, ideal_cap: int = exactalg.IDEAL_DIM_CA
     (3) every maximal two-sided ideal is the annihilator of a module
         induced from a simple isotropy module.
     The orbit-sum annihilator criterion is consistency-checked inside
-    every annihilator_induced call.
+    every annihilator_induced call.  seed is accepted for compatibility
+    and changes no answer.
     """
     G = conv.groupoid
     f = conv.field
@@ -531,7 +532,7 @@ def verify_effros_hahn(conv: ConvAlgebra, ideal_cap: int = exactalg.IDEAL_DIM_CA
         B = B_at[x]
         try:
             simples = exactalg.meataxe_simple_quotients(
-                exactalg.regular_module(B), seed)
+                exactalg.regular_module(B))
         except CapExceeded as exc:
             rep.caps_hit.append(str(exc))
             continue

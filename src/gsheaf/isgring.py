@@ -203,33 +203,6 @@ class SpectralRingAction:
         return linalg.mat_vec(self.algebra.field, self.alpha[s], v)
 
 
-def _domain_unit(A: FDAlgebra, D: Subspace):
-    """The identity element of the ideal D, or None."""
-    if D.dim == 0:
-        return linalg.zero_vector(A.field, A.dim)
-    f = A.field
-    rows, rhs = [], []
-    # u in D with u b = b = b u for every basis b of D; unknowns are
-    # coefficients of u over the basis of D
-    cols = [list(b) for b in D.basis]
-    for b in D.basis:
-        Lb = A.left_mult_matrix(list(b))
-        Rb = A.right_mult_matrix(list(b))
-        for M in (Rb, Lb):
-            img = [linalg.mat_vec(f, M, c) for c in cols]
-            for r in range(A.dim):
-                rows.append([img[k][r] for k in range(D.dim)])
-                rhs.append(b[r])
-    sol = linalg.solve(f, rows, rhs)
-    if sol is None:
-        return None
-    out = linalg.zero_vector(f, A.dim)
-    for k, c in enumerate(sol):
-        if c != 0:
-            out = linalg.vec_add(f, out, linalg.vec_scale(f, c, list(D.basis[k])))
-    return out
-
-
 def validate_ring_action(act: SpectralRingAction) -> list[str]:
     S, A = act.semigroup, act.algebra
     f = A.field
@@ -268,7 +241,8 @@ def validate_ring_action(act: SpectralRingAction) -> list[str]:
                 return [f"alpha[{e}] is not the identity on D_{e}"]
     # spectral: every domain has a unit that is a central idempotent of A
     for s in S.elements:
-        u = _domain_unit(A, act.domain[s])
+        D = act.domain[s]
+        u = exactalg.find_unit(A, within=D) if D.dim else linalg.zero_vector(f, A.dim)
         if u is None:
             return [f"D_{s} has no identity element"]
         if A.mul(u, u) != u:
@@ -337,10 +311,12 @@ class SkewRing:
                 b = list(act.domain[t].basis[m])
                 prod = linalg.mat_vec(f, act.alpha[s], A.mul(a_back, b))
                 st = S.mul[s, t]
-                if not act.domain[st].contains(prod):
+                try:
+                    coords = act.domain[st].coords_of(prod)
+                except AlgebraError:
                     raise CheckFailure(
-                        f"product of blocks ({s},{t}) escapes D_{st}")
-                row.append(self.embed(st, prod))
+                        f"product of blocks ({s},{t}) escapes D_{st}") from None
+                row.append(self._place(st, coords))
             table.append(row)
         L = FDAlgebra(f, self.labels, table)
         u = exactalg.find_unit(L)
@@ -353,11 +329,13 @@ class SkewRing:
                 if r == s or not S.natural_leq(r, s):
                     continue
                 for b in act.domain[r].basis:
-                    if not act.domain[s].contains(list(b)):
+                    try:
+                        coords = act.domain[s].coords_of(b)
+                    except AlgebraError:
                         raise InputError(
-                            f"{r} <= {s} but D_{r} is not inside D_{s}")
+                            f"{r} <= {s} but D_{r} is not inside D_{s}") from None
                     gens.append(linalg.vec_sub(f, self.embed(r, list(b)),
-                                               self.embed(s, list(b))))
+                                               self._place(s, coords)))
         self.N = Subspace.from_vectors(f, dim, gens)
         # quotient_algebra checks that N is an ideal
         try:
@@ -372,13 +350,16 @@ class SkewRing:
 
     def embed(self, s, ambient_vec):
         """a delta_s as an L coordinate vector; a must lie in D_s."""
-        act = self.action
-        f = act.algebra.field
-        D = act.domain[s]
-        if not D.contains(ambient_vec):
-            raise AlgebraError(f"element does not lie in D_{s}")
-        out = linalg.zero_vector(f, len(self.labels))
-        for k, c in enumerate(D.coords_of(ambient_vec)):
+        try:
+            coords = self.action.domain[s].coords_of(ambient_vec)
+        except AlgebraError:
+            raise AlgebraError(f"element does not lie in D_{s}") from None
+        return self._place(s, coords)
+
+    def _place(self, s, coords):
+        """The L coordinate vector with coords in the block of s."""
+        out = linalg.zero_vector(self.action.algebra.field, len(self.labels))
+        for k, c in enumerate(coords):
             if c != 0:
                 out[self.index[s, k]] = c
         return out

@@ -155,9 +155,6 @@ class IncrementalSpan:
         for v in vectors:
             self.add(v)
 
-    def basis_tuples(self) -> tuple:
-        return tuple(tuple(r) for r in self.rows)
-
 
 def rref(field, rows, ncols=None):
     """Reduced row echelon form. Returns (rows, pivots); zero rows dropped."""
@@ -222,10 +219,3 @@ def inverse_matrix(field, M):
     if pivots[:n] != list(range(n)) or len(rows) < n:
         return None
     return [row[n:] for row in rows[:n]]
-
-
-def stack(*matrices):
-    out = []
-    for M in matrices:
-        out.extend(list(r) for r in M)
-    return out

@@ -15,13 +15,15 @@ from hypothesis import strategies as st
 from gsheaf import exactalg, linalg
 from gsheaf.convalg import build_conv_algebra
 from gsheaf.errors import AlgebraError, CapExceeded, CheckFailure
-from gsheaf.exactalg import (FDAlgebra, Subspace, annihilator, centralizer,
-                             check_ring_iso, enumerate_subspaces,
-                             enumerate_two_sided_ideals, find_unit,
-                             group_algebra, hom_space, ideal_generated,
-                             is_ideal, is_simple, is_von_neumann_regular,
+from gsheaf.exactalg import (AlgebraModule, FDAlgebra, Subspace, annihilator,
+                             centralizer, check_ring_iso, direct_sum_modules,
+                             enumerate_subspaces, enumerate_two_sided_ideals,
+                             find_unit, group_algebra, hom_space,
+                             ideal_generated, is_ideal, is_simple,
+                             is_submodule, is_von_neumann_regular,
                              jacobson_radical, matrix_algebra,
-                             meataxe_simple_quotients, quotient_algebra,
+                             meataxe_simple_quotients,
+                             module_simplicity_witness, quotient_algebra,
                              quotient_coords, radical_bruteforce,
                              regular_module, restrict_module,
                              simple_modules_isomorphic, simplicity_witness,
@@ -224,17 +226,25 @@ def test_simplicity_certificate_matches_scan(build):
     assert simplicity_witness(A) == wit
 
 
+def input_key(x):
+    """An algebra's structure constants or a module's matrices, hashable."""
+    if isinstance(x, AlgebraModule):
+        return (x.field.p, tuple(tuple(map(tuple, X)) for X in x.mats))
+    return (x.field.p, x.labels, tuple(map(tuple, x.table)), x.unit)
+
+
 @pytest.fixture(scope="module")
 def catalog_algebras():
     """The distinct finite-field algebras the fixture catalog hands to
-    is_simple and to enumerate_two_sided_ideals, by function name."""
-    seen = {"is_simple": {}, "enumerate_two_sided_ideals": {}}
+    is_simple and to enumerate_two_sided_ideals, and the modules it hands
+    to module_simplicity_witness, by function name."""
+    seen = {"is_simple": {}, "enumerate_two_sided_ideals": {},
+            "module_simplicity_witness": {}}
     with pytest.MonkeyPatch.context() as mp:
         for name, store in seen.items():
             def recording(A, *args, real=getattr(exactalg, name), store=store):
                 if A.field.is_finite:
-                    key = (A.field.p, A.labels, tuple(map(tuple, A.table)), A.unit)
-                    store.setdefault(key, A)
+                    store.setdefault(input_key(A), A)
                 return real(A, *args)
 
             mp.setattr(exactalg, name, recording)
@@ -248,6 +258,68 @@ def test_simplicity_certificate_matches_scan_on_catalog(catalog_algebras):
     assert len(seen) >= 18
     for A in seen:
         assert is_simple(A) == (exactalg._scan_simplicity_witness(A) is None)
+
+
+def natural_module(A, basis, n):
+    """F^n as a module over A, whose basis vectors are the given n x n
+    matrices flattened row by row."""
+    return AlgebraModule(A, n, [[list(v[r * n:(r + 1) * n]) for r in range(n)]
+                                for v in basis])
+
+
+def test_norton_matches_scan_on_catalog(catalog_algebras):
+    # every finite-field module whose simplicity the fixture catalog asks
+    seen = catalog_algebras["module_simplicity_witness"]
+    assert len(seen) >= 50
+    for M in seen:
+        scan = exactalg._cyclic_witness(M, exactalg.projective_points(M.field, M.dim))
+        S = exactalg._norton_witness(M)
+        assert (S is None) == (scan is None)
+        if S is not None:
+            assert not S.is_zero() and not S.is_full()
+            assert is_submodule(M, S)
+
+
+def test_norton_dual_branch():
+    # upper triangular 2x2 on F^2: theta = e11 has kernel span(e2), which
+    # generates F^2 since e12 e2 = e1; only the dual finds span(e1)
+    f = GF(2)
+    A = matrix_algebra(f, 2)
+    S = Subspace.from_vectors(f, A.dim, [
+        A.basis_vector(A.label_index[lab]) for lab in ("e11", "e12", "e22")])
+    M = natural_module(subalgebra_on(A, S), S.basis, 2)
+    assert M.validate() == []
+    _, ker = exactalg._norton_theta(M)
+    assert ker == [[0, 1]]
+    assert exactalg.submodule_generated(M, ker).is_full()
+    assert exactalg._norton_witness(M) == Subspace.from_vectors(f, 2, [[1, 0]])
+    assert module_simplicity_witness(M) == Subspace.from_vectors(f, 2, [[1, 0]])
+
+
+def test_norton_beyond_the_point_budget():
+    # 6.7 million projective points: theta = e11 - 1 has kernel span(e1)
+    f = GF(7)
+    A = matrix_algebra(f, 9)
+    N = natural_module(A, [A.basis_vector(i) for i in range(A.dim)], 9)
+    assert exactalg.num_projective_points(f, N.dim) > \
+        exactalg.SIMPLICITY_POINT_BUDGET
+    assert module_simplicity_witness(N) is None
+    double = direct_sum_modules([N, N])
+    S = module_simplicity_witness(double)
+    assert S.dim == 9 and is_submodule(double, S)
+    assert not exactalg.is_simple_module(double)
+    # the regular module of M_3(GF(3)[u]/u^2) has dim 18, over the budget
+    J = jacobson_radical(tensor_algebra(matrix_algebra(GF(3), 3), dual_over(3)))
+    assert J.dim == 9
+
+
+def test_norton_caps_a_kernel_over_the_budget():
+    # the scalars act on GF(2)^21 as the identity, so the only singular
+    # theta is 0, whose kernel has 2^21 - 1 points
+    f = GF(2)
+    M = AlgebraModule(scalar_algebra(f), 21, [linalg.identity_matrix(f, 21)])
+    with pytest.raises(CapExceeded, match="projective points"):
+        module_simplicity_witness(M)
 
 
 def test_simplicity_certificate_parts():
@@ -600,6 +672,12 @@ def test_find_unit():
     f = GF(2)
     no_unit = FDAlgebra(f, ["x"], [[[0]]], None)  # x^2 = 0, x != 0
     assert find_unit(no_unit) is None
+    # within an ideal: the first block of M_2(F_2) x M_2(F_2), and the
+    # radical of the dual numbers, which has none
+    P = product_algebra(A, A)
+    block = Subspace.from_vectors(f, P.dim, [P.basis_vector(i) for i in range(4)])
+    assert list(find_unit(P, within=block)) == list(A.unit) + [0] * 4
+    assert find_unit(dual_numbers(), within=Subspace.from_vectors(f, 2, [[0, 1]])) is None
 
 
 def test_hom_space_dimensions():

@@ -147,7 +147,7 @@ def test_each_fixture_builds_its_skew_ring_once(monkeypatch):
                  "_centralizer_of_diagonal", "_central_idempotents"):
         seen = [id(a[0]) for a in args[name]]
         assert len(set(seen)) == len(seen), name
-    seen = [(id(A), seed, recheck) for A, seed, recheck in args["_radical"]]
+    seen = [(id(A), recheck) for A, recheck in args["_radical"]]
     assert len(set(seen)) == len(seen)
 
 

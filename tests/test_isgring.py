@@ -306,6 +306,27 @@ def test_skew_ring_embed_requires_domain_membership():
         skew.embed(lab_u1, outside)
 
 
+def test_skew_ring_rejects_blocks_outside_their_domains():
+    # {a, b, z} with ab = z and D_z = 0: the product of the a and b
+    # blocks has nowhere to go
+    A = scalar_algebra(GF(2))
+    full, zero = Subspace.full(A.field, 1), Subspace.zero(A.field, 1)
+    one = linalg.identity_matrix(A.field, 1)
+    mul = {(x, y): x if x == y else "z" for x in "abz" for y in "abz"}
+    S = FiniteInverseSemigroup("abz", mul, {x: x for x in "abz"})
+    act = SpectralRingAction(S, A, {"a": full, "b": full, "z": zero},
+                             {x: one for x in "abz"}, validate=False)
+    with pytest.raises(CheckFailure, match=r"blocks \(a,b\) escapes D_z"):
+        skew_isg_ring(act)
+    # f <= e, but D_f = A is not inside D_e = 0
+    mul = {(x, y): "f" if "f" in (x, y) else "e" for x in "ef" for y in "ef"}
+    S = FiniteInverseSemigroup("ef", mul, {x: x for x in "ef"})
+    act = SpectralRingAction(S, A, {"e": zero, "f": full},
+                             {x: one for x in "ef"}, validate=False)
+    with pytest.raises(InputError, match="f <= e but D_f is not inside D_e"):
+        skew_isg_ring(act)
+
+
 def test_bisection_action_relation_ideal_nonzero():
     # honest inverse-semigroup action: comparable distinct bisections
     G = t1_groupoid(2)

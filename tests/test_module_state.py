@@ -6,6 +6,9 @@ id of a freed object, and any module-level memo lets one run or fixture
 leak into the next.  The scan flags a module-level dict, list or set
 that a function mutates, a function that declares a global, and
 functools.lru_cache or functools.cache.
+
+It also flags any import of random: every answer is deterministic, so
+the same input gives the same output whatever the seed (criterion 16).
 """
 
 import ast
@@ -74,7 +77,11 @@ def module_state(source: str, filename: str = "<src>") -> list[str]:
     containers = _module_containers(tree)
     found = []
     for node in ast.walk(tree):
-        if isinstance(node, ast.ImportFrom) and node.module == "functools":
+        if (isinstance(node, ast.Import)
+                and any(a.name == "random" for a in node.names)
+                or isinstance(node, ast.ImportFrom) and node.module == "random"):
+            found.append(f"{filename}: imports random")
+        elif isinstance(node, ast.ImportFrom) and node.module == "functools":
             found += [f"{filename}: imports functools.{a.name}"
                       for a in node.names if a.name in CACHES]
         elif (isinstance(node, ast.Attribute) and node.attr in CACHES
@@ -98,7 +105,9 @@ def module_state(source: str, filename: str = "<src>") -> list[str]:
 def test_scanner_finds_module_state():
     source = (
         "import functools\n"
+        "import random\n"
         "from functools import lru_cache\n"
+        "from random import Random\n"
         "MEMO = {}\n"
         "SEEN: list = []\n"
         "TABLE = {1: 2}\n"
@@ -121,6 +130,7 @@ def test_scanner_finds_module_state():
         "m.py: function remember mutates module-level MEMO",
         "m.py: function remember mutates module-level SEEN",
         "m.py: imports functools.lru_cache",
+        "m.py: imports random",
         "m.py: uses functools.cache",
     ]
 
