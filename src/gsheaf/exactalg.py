@@ -593,7 +593,7 @@ def central_primitive_idempotents(A: FDAlgebra):
 
 
 def _central_idempotents(A: FDAlgebra):
-    Z = centralizer(A, Subspace.full(A.field, A.dim))
+    Z = _centre(A)
     if not A.field.is_finite and Z.dim > 1:
         raise CapExceeded(f"central idempotents of a {Z.dim}-dimensional "
                           "centre need a finite base field")
@@ -698,7 +698,7 @@ def is_simple(A: FDAlgebra) -> bool:
 
 def _density_certificate(A: FDAlgebra) -> bool:
     """The certificate of is_simple: a field centre and a dense bimodule."""
-    Z = subalgebra_on(A, centralizer(A, Subspace.full(A.field, A.dim)))
+    Z = subalgebra_on(A, _centre(A))
     if not is_field(Z):
         return False
     target = A.dim * A.dim // Z.dim
@@ -996,46 +996,34 @@ def simple_modules_isomorphic(M: AlgebraModule, N: AlgebraModule) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# composition-factor search (meataxe-flavoured, deterministic)
+# composition factors (meataxe-flavoured, deterministic)
 
 
-def find_maximal_submodule(M: AlgebraModule) -> Subspace:
-    """A maximal proper submodule of a nonzero module."""
-    if M.dim == 0:
-        raise AlgebraError("the zero module has no maximal submodule")
-    f = M.field
-    N = Subspace.zero(f, M.dim)
-    while True:
-        Q, _ = quotient_module(M, N)
-        P = module_simplicity_witness(Q)
-        if P is None:
-            return N
-        _, lift = quotient_coords(f, N)
-        lifted = [linalg.mat_vec(f, lift, list(v)) for v in P.basis]
-        N = Subspace.from_vectors(f, M.dim, list(N.basis) + lifted)
+def _composition_factors(M: AlgebraModule) -> list[AlgebraModule]:
+    """The composition factors of a nonzero M, submodule side first.
+
+    Splits M at the engine's witness W into W and M/W and recurses; by
+    Jordan-Holder the factors, up to isomorphism and with multiplicity,
+    do not depend on where M was split.
+    """
+    W = module_simplicity_witness(M)
+    if W is None:
+        return [M]
+    return (_composition_factors(restrict_module(M, W))
+            + _composition_factors(quotient_module(M, W)[0]))
 
 
 def meataxe_simple_quotients(M: AlgebraModule) -> list[AlgebraModule]:
     """Pairwise non-isomorphic simple quotients of M.
 
-    Walks a composition series (maximal submodule, quotient, recurse on the
-    kernel), de-duplicates factors up to isomorphism, then keeps those with
-    a nonzero hom from M -- exactly the simple quotients, covering every
-    composition factor of M modulo its radical.
+    De-duplicates the composition factors of M up to isomorphism, then
+    keeps those with a nonzero hom from M -- exactly the simple quotients,
+    covering every composition factor of M modulo its radical.
     """
     factors: list[AlgebraModule] = []
-
-    def walk(mod: AlgebraModule):
-        if mod.dim == 0:
-            return
-        N = find_maximal_submodule(mod)
-        S, _ = quotient_module(mod, N)
+    for S in _composition_factors(M) if M.dim else []:
         if not any(simple_modules_isomorphic(S, T) for T in factors):
             factors.append(S)
-        if N.dim:
-            walk(restrict_module(mod, N))
-
-    walk(M)
     return [S for S in factors if hom_space(M, S)]
 
 
@@ -1044,7 +1032,10 @@ def meataxe_simple_quotients(M: AlgebraModule) -> list[AlgebraModule]:
 
 
 def jacobson_radical(A: FDAlgebra, seed: int = 0, _recheck: bool = True) -> Subspace:
-    """Intersection of the annihilators of the simple quotients of A.
+    """Intersection of the annihilators of the composition factors of A.
+
+    Every simple A-module is a quotient of A, so a composition factor of
+    the regular module, and the radical is the meet of their annihilators.
 
     Self-certifying: the result must be a nilpotent two-sided ideal with
     J^k = 0 for some k <= dim, and A/J must have zero radical on re-run.
@@ -1059,9 +1050,8 @@ def jacobson_radical(A: FDAlgebra, seed: int = 0, _recheck: bool = True) -> Subs
 
 
 def _radical(A: FDAlgebra, recheck: bool) -> Subspace:
-    simples = meataxe_simple_quotients(regular_module(A))
     J = Subspace.full(A.field, A.dim)
-    for S in simples:
+    for S in _composition_factors(regular_module(A)):
         J = J.intersect(annihilator(S))
     if not is_ideal(A, J, "two"):
         raise CheckFailure("radical candidate is not a two-sided ideal")
@@ -1159,6 +1149,11 @@ def centralizer(A: FDAlgebra, S: Subspace) -> Subspace:
     if not rows:
         return Subspace.full(f, A.dim)
     return Subspace.from_vectors(f, A.dim, linalg.kernel_basis(f, rows, A.dim))
+
+
+def _centre(A: FDAlgebra) -> Subspace:
+    """The centre of A, computed once per algebra."""
+    return memoized(A, "centre", centralizer, Subspace.full(A.field, A.dim))
 
 
 def quotient_algebra(A: FDAlgebra, I: Subspace):

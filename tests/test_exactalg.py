@@ -595,6 +595,64 @@ def test_meataxe_deduplicates_isomorphic_factors():
     assert not simple_modules_isomorphic(simples[0], simples[1])
 
 
+def conjugated(M, P):
+    """M with every action matrix X replaced by P X P^-1."""
+    f = M.field
+    Pinv = linalg.inverse_matrix(f, P)
+    return AlgebraModule(M.algebra, M.dim, [
+        linalg.mat_mul(f, linalg.mat_mul(f, P, X), Pinv) for X in M.mats])
+
+
+def invertible_matrix(f, n, rng):
+    while True:
+        P = [[rng.randrange(f.order) for _ in range(n)] for _ in range(n)]
+        if linalg.inverse_matrix(f, P) is not None:
+            return P
+
+
+def factor_invariants(M):
+    return sorted((S.dim, annihilator(S).basis)
+                  for S in exactalg._composition_factors(M))
+
+
+def test_composition_factors_of_regular_modules(catalog_algebras):
+    # the catalog's distinct finite-field algebras and the lattice shapes
+    seen = {input_key(A): A for name in ("is_simple", "enumerate_two_sided_ideals")
+            for A in catalog_algebras[name]}
+    for spec in LATTICE_SHAPES:
+        A = lattice_shape(spec)
+        seen.setdefault(input_key(A), A)
+    assert len(seen) >= 25
+    for A in seen.values():
+        M = regular_module(A)
+        factors = exactalg._composition_factors(M)
+        assert sum(S.dim for S in factors) == M.dim
+        for S in factors:
+            assert exactalg._cyclic_witness(
+                S, exactalg.projective_points(S.field, S.dim)) is None
+        # Jordan-Holder: a change of basis of M splits it elsewhere, but
+        # the factors keep their dimensions and annihilators
+        P = invertible_matrix(A.field, M.dim, random.Random(M.dim))
+        assert factor_invariants(conjugated(M, P)) == factor_invariants(M)
+
+
+def test_simple_quotients_of_a_non_regular_module():
+    # F^2 over the upper triangular 2x2 matrices: the socle span(e1), where
+    # e11 acts as 1, is a composition factor but not a quotient; the top,
+    # where e22 acts as 1, is the only simple quotient
+    f = GF(2)
+    A = matrix_algebra(f, 2)
+    S = Subspace.from_vectors(f, A.dim, [
+        A.basis_vector(A.label_index[lab]) for lab in ("e11", "e12", "e22")])
+    M = natural_module(subalgebra_on(A, S), S.basis, 2)
+    socle, top = exactalg._composition_factors(M)
+    assert socle.mats == [[[1]], [[0]], [[0]]]
+    assert top.mats == [[[0]], [[0]], [[1]]]
+    assert not simple_modules_isomorphic(socle, top)
+    [Q] = meataxe_simple_quotients(M)
+    assert Q.mats == top.mats
+
+
 def test_vnr_witnesses():
     ok, wit = is_von_neumann_regular(matrix_algebra(GF(2), 2))
     assert ok and wit is None

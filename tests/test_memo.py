@@ -120,6 +120,36 @@ def test_the_radical_is_remembered_whatever_the_seed(monkeypatch):
     assert rechecks == [True, False]
 
 
+def test_each_centre_is_computed_once(monkeypatch):
+    # the simplicity certificate and the central idempotents share it; the
+    # diagonal centralizer of a groupoid of units is the whole algebra too,
+    # so the centralizer calls inside it are not counted
+    centres, in_diagonal = [], []
+    real = exactalg.centralizer
+    real_diagonal = convalg._centralizer_of_diagonal
+
+    def counting(A, S):
+        if S.is_full() and not in_diagonal:
+            centres.append(A)
+        return real(A, S)
+
+    def diagonal(conv):
+        in_diagonal.append(conv)
+        try:
+            return real_diagonal(conv)
+        finally:
+            in_diagonal.pop()
+
+    monkeypatch.setattr(exactalg, "centralizer", counting)
+    monkeypatch.setattr(convalg, "_centralizer_of_diagonal", diagonal)
+    run_catalog(seed=0)
+    assert len(centres) == 21
+    assert len({id(A) for A in centres}) == len(centres)
+    D = dual_numbers()
+    assert is_simple(D) is False and central_primitive_idempotents(D) == [[1, 0]]
+    assert centres[21:] == [D]
+
+
 def test_no_answer_outlives_a_change_of_unit(monkeypatch):
     runs = []
     real = exactalg._two_sided_ideals
