@@ -213,7 +213,7 @@ def cmd_verify(args) -> int:
         return _report_exit(convalg.check_simplelife(G, O))
     if what == "siri":
         G, O = _load_sheaf(args.file)
-        return _report_exit(isgring.verify_siri(G, O, args.cap_arrows))
+        return _report_exit(isgring.verify_siri(G, O))
     if what == "pierce":
         act = _load_kind(args.file, "ring_action")
         return _report_exit(isgring.pierce_verification(act))
@@ -229,8 +229,7 @@ def cmd_verify(args) -> int:
         if "field" not in doc:
             raise InputError("partial_group_action document needs a field")
         field = schemas.field_from_doc(doc["field"])
-        return _report_exit(isgring.verify_partial_crossed(
-            act, field, args.cap_arrows))
+        return _report_exit(isgring.verify_partial_crossed(act, field))
     if what == "disintegration":
         G, O = _load_sheaf(args.file)
         conv = build_conv_algebra(G, O)
@@ -246,8 +245,7 @@ def cmd_verify(args) -> int:
 def cmd_fixtures(args) -> int:
     if args.action != "run":
         raise InputError("the fixtures command only knows 'run'")
-    results = fixtures.run_catalog(args.filter, args.seed, args.cap_arrows,
-                                   args.cap_ideal_dim)
+    results = fixtures.run_catalog(args.filter, args.seed, args.cap_ideal_dim)
     if not results:
         raise InputError(f"no fixture name contains {args.filter!r}")
     doc = {name: [rep.to_json() for rep in reps]
@@ -268,8 +266,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0,
                    help="accepted for compatibility; every check is "
                         "deterministic, so it changes no answer (default 0)")
-    p.add_argument("--cap-arrows", type=int, default=8, dest="cap_arrows",
-                   help="arrow cap for bisection enumerations (default 8)")
     p.add_argument("--cap-ideal-dim", type=int, default=8,
                    dest="cap_ideal_dim",
                    help="dimension cap for ideal enumeration (default 8)")

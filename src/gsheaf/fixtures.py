@@ -18,8 +18,8 @@ from .convalg import build_conv_algebra
 from .errors import CapExceeded, InputError
 from .exactalg import FDAlgebra, Subspace, scalar_algebra
 from .fields import GF, QQ
-from .groupoid import (ARROW_CAP, FiniteGroupoid, bisection_semigroup,
-                       is_effective, is_minimal)
+from .groupoid import (FiniteGroupoid, bisection_semigroup, is_effective,
+                       is_minimal)
 from .isgring import (FiniteInverseSemigroup, PartialGroupAction,
                       SpaceAction, SpectralRingAction, germ_groupoid,
                       symmetric_inverse_monoid)
@@ -318,6 +318,8 @@ _COUNT = "[TRIVIAL] count from the construction"
 _HAND = "[DERIVED] hand computation with the structure constants"
 _WEDD = "[DERIVED] Wedderburn decomposition of the group algebra"
 _BIJ = "[DERIVED] count of partial bijections"
+_SIRI_P2 = ("[DERIVED] dims over the four arrow singletons and the unit "
+            "space, with one relation per unit")
 
 _FIXTURES = [
     Fixture(
@@ -382,7 +384,7 @@ _FIXTURES = [
             "radical_dim": (0, "[DERIVED] matrix rings are semisimple"),
             "fields": (True, _COUNT),
             "n_bisections": (7, _BIJ),
-            "siri_dims": ((8, 4, 4), "[DERIVED] dims over the seven bisections"),
+            "siri_dims": ((6, 2, 4), _SIRI_P2),
         }),
 
     Fixture(
@@ -394,7 +396,7 @@ _FIXTURES = [
             "simple": (True, "[DERIVED] 2x2 matrix rings are simple"),
             "radical_dim": (0, "[DERIVED] matrix rings are semisimple"),
             "fields": (True, _COUNT),
-            "siri_dims": ((8, 4, 4), "[DERIVED] dims over the seven bisections"),
+            "siri_dims": ((6, 2, 4), _SIRI_P2),
         }),
 
     Fixture(
@@ -408,7 +410,7 @@ _FIXTURES = [
             "masa": (True, _HAND),
             "fields": (True, _COUNT),
             "simple": (True, "[DERIVED] 2x2 matrix rings are simple"),
-            "siri_dims": ((8, 4, 4), "[DERIVED] dims over the seven bisections"),
+            "siri_dims": ((6, 2, 4), _SIRI_P2),
         }),
 
     Fixture(
@@ -738,8 +740,9 @@ def vnr_diagonal_report(O: GSheafOfAlgebras) -> Report:
 
 
 # Each battery takes the built fixture, the seed (which changes no answer:
-# every check is deterministic) and the arrow and ideal caps, and returns (reports, getters): the reports it always runs and
-# the getters its stored expectations are compared with.
+# every check is deterministic) and the ideal cap, and returns (reports,
+# getters): the reports it always runs and the getters its stored
+# expectations are compared with.
 
 
 def _measured(rep: Report, read):
@@ -753,13 +756,13 @@ def _measured(rep: Report, read):
     return get
 
 
-def _sheaf_battery(built, seed: int, arrow_cap: int, ideal_cap: int):
+def _sheaf_battery(built, seed: int, ideal_cap: int):
     G, O = built
     conv = build_conv_algebra(G, O)
-    siri = isgring.verify_siri(G, O, arrow_cap, conv)
+    siri = isgring.verify_siri(G, O, conv)
     reports = [
         convalg.check_convolution_table(conv),
-        convalg.check_bisection_convolution(conv, arrow_cap),
+        convalg.check_bisection_convolution(conv),
         convalg.check_masa_criterion(conv),
         convalg.check_uniqueness_theorem(conv, ideal_cap),
         convalg.check_simplelife(G, O, conv),
@@ -783,15 +786,13 @@ def _sheaf_battery(built, seed: int, arrow_cap: int, ideal_cap: int):
         "vnr": lambda: sheafmod.diagonal_vnr(O)[0],
         "radical_dim": lambda: exactalg.jacobson_radical(conv.algebra).dim,
         "fields": lambda: sheafmod.is_sheaf_of_fields(O),
-        "n_bisections": lambda: len(bisection_semigroup(
-            G, arrow_cap)[0].elements),
+        "n_bisections": lambda: len(bisection_semigroup(G)[0].elements),
         "siri_dims": _measured(siri, lambda r: tuple(r.lhs.values())),
     }
     return reports, getters
 
 
-def _space_battery(act: SpaceAction, seed: int, arrow_cap: int,
-                   ideal_cap: int):
+def _space_battery(act: SpaceAction, seed: int, ideal_cap: int):
     reports = [
         isgring.check_cinza(act),
         isgring.check_orbit_correspondence(act),
@@ -807,9 +808,9 @@ def _space_battery(act: SpaceAction, seed: int, arrow_cap: int,
     return reports, getters
 
 
-def _partial_battery(built, seed: int, arrow_cap: int, ideal_cap: int):
+def _partial_battery(built, seed: int, ideal_cap: int):
     act, field = built
-    rep = isgring.verify_partial_crossed(act, field, arrow_cap)
+    rep = isgring.verify_partial_crossed(act, field)
     getters = {
         "tg_arrows": _measured(rep, lambda r: r.rhs["groupoid arrows"]),
         "conv_dim": _measured(rep, lambda r: r.rhs["dim conv"]),
@@ -818,8 +819,7 @@ def _partial_battery(built, seed: int, arrow_cap: int, ideal_cap: int):
     return [rep], getters
 
 
-def _ring_battery(act: SpectralRingAction, seed: int, arrow_cap: int,
-                  ideal_cap: int):
+def _ring_battery(act: SpectralRingAction, seed: int, ideal_cap: int):
     rep = isgring.pierce_verification(act)
     getters = {
         "n_atoms": _measured(rep, lambda r: r.rhs["atoms"]),
@@ -837,21 +837,19 @@ BATTERIES = {
 }
 
 
-def run_fixture(name: str, seed: int = 0, arrow_cap: int = ARROW_CAP,
+def run_fixture(name: str, seed: int = 0,
                 ideal_cap: int = exactalg.IDEAL_DIM_CAP) -> list[Report]:
     """Build the named fixture and run its whole battery of checks."""
     fix = get_fixture(name)
     if fix.kind not in BATTERIES:
         raise InputError(f"unknown fixture kind {fix.kind}")
-    reports, getters = BATTERIES[fix.kind](fix.build(), seed, arrow_cap,
-                                           ideal_cap)
+    reports, getters = BATTERIES[fix.kind](fix.build(), seed, ideal_cap)
     for key in fix.expected:
         reports.append(_expected_report(fix, key, getters[key]))
     return reports
 
 
 def run_catalog(name_filter: str | None = None, seed: int = 0,
-                arrow_cap: int = ARROW_CAP,
                 ideal_cap: int = exactalg.IDEAL_DIM_CAP) -> dict:
     """Reports for every fixture whose name contains the filter,
     keyed by fixture name in sorted order."""
@@ -859,5 +857,5 @@ def run_catalog(name_filter: str | None = None, seed: int = 0,
     for name in catalog_names():
         if name_filter and name_filter not in name:
             continue
-        out[name] = run_fixture(name, seed, arrow_cap, ideal_cap)
+        out[name] = run_fixture(name, seed, ideal_cap)
     return out

@@ -233,8 +233,10 @@ def bisection_semigroup(G: FiniteGroupoid, arrow_cap: int = ARROW_CAP,
     """The inverse semigroup of bisections under pointwise composition.
 
     With no generators: all bisections (full enumeration; capped by arrow
-    count).  With generators: the inverse subsemigroup they generate, which
-    must cover every arrow and whose idempotents must cover every unit.
+    count, and kept as an oracle).  With generators: the inverse
+    subsemigroup they generate, which must be wide: it covers every arrow,
+    its idempotents cover every unit, and each U & V is a union of members
+    (Exel 2008).
 
     Returns (semigroup, member_sets) where member_sets maps each element
     label to its frozenset of arrow ids.
@@ -283,6 +285,15 @@ def bisection_semigroup(G: FiniteGroupoid, arrow_cap: int = ARROW_CAP,
                 idem_cover |= {G.src[a] for a in B}
         if idem_cover != set(G.units):
             raise InputError("generated idempotent bisections do not cover the units")
+        for B in members:
+            for C in members:
+                meet = B & C
+                if meet not in seen and meet != set().union(
+                        *(D for D in members if D <= meet)):
+                    raise InputError(
+                        f"generated bisections are not wide: "
+                        f"{_bisection_label(G, B)} & {_bisection_label(G, C)} "
+                        f"is no union of members")
 
     members = sorted(members, key=lambda B: (len(B), sorted(G.arrow_index[a] for a in B)))
     label = {B: _bisection_label(G, B) for B in members}

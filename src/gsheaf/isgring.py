@@ -35,7 +35,7 @@ from .convalg import ConvAlgebra, build_conv_algebra
 from .errors import AlgebraError, CapExceeded, CheckFailure, InputError
 from .exactalg import FDAlgebra, Subspace
 from .fields import Field
-from .groupoid import (ARROW_CAP, FiniteGroupoid, bisection_semigroup,
+from .groupoid import (FiniteGroupoid, bisection_semigroup,
                        equivalence_classes, is_effective, orbits,
                        require_valid_groupoid)
 from .reports import Report, skip_report
@@ -723,12 +723,14 @@ def _diagonal_algebra(conv: ConvAlgebra):
     return A, embed
 
 
-def bisection_ring_action(conv: ConvAlgebra,
-                          arrow_cap: int = ARROW_CAP):
-    """Spectral action of the bisection semigroup on the diagonal:
-    D_U = sections supported on the range of U, moved along U's arrows."""
+def bisection_ring_action(conv: ConvAlgebra, bisections):
+    """Spectral action of a wide semigroup of bisections, the (semigroup,
+    members) pair of bisection_semigroup, on the diagonal: D_U = sections
+    supported on the range of U, moved along U's arrows.  The domains and
+    maps come from the sheaf, which validate_sheaf has checked, so the
+    action is not validated again; SIRI certifies what it builds."""
     G, O, f = conv.groupoid, conv.sheaf, conv.field
-    Ga, member = bisection_semigroup(G, arrow_cap)
+    Ga, member = bisections
     A, embed = _diagonal_algebra(conv)
     idx = A.label_index
     domain, alpha = {}, {}
@@ -749,22 +751,23 @@ def bisection_ring_action(conv: ConvAlgebra,
                 if c != 0:
                     M[idx[G.dst[g], k]][col] = c
         alpha[lab] = M
-    ring_act = SpectralRingAction(Ga, A, domain, alpha, validate=False)
-    bad = validate_ring_action(ring_act)
-    if bad:
-        raise CheckFailure("bisection action fails the action axioms: " + bad[0])
-    return ring_act, member, embed
+    return (SpectralRingAction(Ga, A, domain, alpha, validate=False),
+            member, embed)
 
 
 def siri_data(G: FiniteGroupoid, O: GSheafOfAlgebras,
-              arrow_cap: int = ARROW_CAP,
               conv: ConvAlgebra | None = None) -> SkewRealization:
     """Skew ring of the bisection action, with its map into Gamma_c,
-    which sends a delta_U to the convolution a * chi_U.  Gamma_c is
-    built when not given."""
+    which sends a delta_U to the convolution a * chi_U.  The semigroup
+    is the wide one of arrow singletons, the unit space and the empty
+    bisection (Exel 2008; Steinberg 2010).  Gamma_c is built when not
+    given."""
     if conv is None:
         conv = build_conv_algebra(G, O)
-    act, member, embed = bisection_ring_action(conv, arrow_cap)
+    units = {G.unit_arrow(u) for u in G.units}
+    wide = bisection_semigroup(G, generators=[{a} for a in G.arrows]
+                               + [units])
+    act, member, embed = bisection_ring_action(conv, wide)
 
     def images(U, a):
         return linalg.mat_vec(conv.field, embed, a), member[U]
@@ -773,19 +776,14 @@ def siri_data(G: FiniteGroupoid, O: GSheafOfAlgebras,
 
 
 def verify_siri(G: FiniteGroupoid, O: GSheafOfAlgebras,
-                arrow_cap: int = ARROW_CAP,
                 conv: ConvAlgebra | None = None) -> Report:
     """The convolution algebra is the skew ring of its bisection action."""
-    hyp = {"arrows within bisection cap": len(G.arrows) <= arrow_cap}
-    if not hyp["arrows within bisection cap"]:
-        return skip_report("siri", hyp,
-                           caps_hit=[f"{len(G.arrows)} arrows > {arrow_cap}"])
     try:
-        real = siri_data(G, O, arrow_cap, conv)
+        real = siri_data(G, O, conv)
     except CheckFailure as exc:
-        return Report(check="siri", hypotheses=hyp, passed=False,
+        return Report(check="siri", passed=False,
                       witnesses={"error": str(exc)})
-    return real.report("siri", hyp, {"dim conv": real.conv.dim})
+    return real.report("siri", {}, {"dim conv": real.conv.dim})
 
 
 # ---------------------------------------------------------------------------
@@ -1068,14 +1066,12 @@ def dual_ring_action(act: PartialGroupAction, field: Field):
     return ring_act
 
 
-def verify_partial_crossed(act: PartialGroupAction, field: Field,
-                           arrow_cap: int = ARROW_CAP) -> Report:
+def verify_partial_crossed(act: PartialGroupAction, field: Field) -> Report:
     """Partial skew group ring vs convolution algebra of the
     transformation groupoid, over an exact field.
 
     Also re-verifies the transformation groupoid's own convolution
-    algebra as the skew ring of its bisection action when the arrow
-    count permits.
+    algebra as the skew ring of its bisection action.
     """
     G = transformation_groupoid(act)
     O = constant_sheaf(G, exactalg.scalar_algebra(field))
@@ -1093,19 +1089,11 @@ def verify_partial_crossed(act: PartialGroupAction, field: Field,
         raise CheckFailure("group-indexed relation ideal is nonzero")
     iso = real.is_ring_iso()
 
-    sub = None
-    if len(G.arrows) <= arrow_cap:
-        sub = verify_siri(G, O, arrow_cap, conv)
-    rep = Report(
+    sub = verify_siri(G, O, conv)
+    return Report(
         check="partial-crossed", hypotheses={},
         lhs={"dim skew ring": real.skew.quotient.dim},
         rhs={"groupoid arrows": len(G.arrows), "dim conv": conv.dim},
-        passed=iso and (sub is None or sub.passed is not False))
-    if sub is not None:
-        rep.notes.append(
-            f"bisection-action realization of the transformation groupoid: "
-            f"{sub.status}")
-    else:
-        rep.caps_hit.append(
-            f"{len(G.arrows)} arrows over bisection cap {arrow_cap}")
-    return rep
+        passed=iso and sub.passed,
+        notes=[f"bisection-action realization of the transformation "
+               f"groupoid: {sub.status}"])

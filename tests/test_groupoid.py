@@ -213,6 +213,24 @@ def test_bisection_generators_must_cover():
         bisection_semigroup(G, generators=[frozenset({"u1", "a12"})])
 
 
+def test_bisection_generators_must_be_wide():
+    # the three transpositions of P3 close up to the six permutation
+    # bisections, which cover every arrow, and whose idempotent, the unit
+    # space, covers every unit; but {u1,a23,a32} & G0 = {u1} is no union
+    # of members, and the skew ring over them would be the 18-dim
+    # C(X) x S3 rather than the 9-dim convolution algebra
+    G = pair_groupoid(3)
+    transpositions = [{"u1", "a23", "a32"}, {"u2", "a13", "a31"},
+                      {"u3", "a12", "a21"}]
+    with pytest.raises(InputError, match="not wide"):
+        bisection_semigroup(G, generators=transpositions)
+    # arrow singletons and the unit space are wide: 9 + 2 members
+    S, members = bisection_semigroup(
+        G, generators=[{a} for a in G.arrows] + [set(G.units)])
+    assert len(S.elements) == len(G.arrows) + 2
+    assert frozenset() in members.values()
+
+
 def test_all_bisections_enumerated():
     G = z2_bundle_over_p2()
     S, members = bisection_semigroup(G)
