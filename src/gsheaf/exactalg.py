@@ -1052,7 +1052,10 @@ def jacobson_radical(A: FDAlgebra, seed: int = 0, _recheck: bool = True) -> Subs
 def _radical(A: FDAlgebra, recheck: bool) -> Subspace:
     J = Subspace.full(A.field, A.dim)
     for S in _composition_factors(regular_module(A)):
-        J = J.intersect(annihilator(S))
+        # J inside Ann(S) already (an isomorphic repeat, say): J ∩ Ann(S) = J
+        if any(not linalg.vec_is_zero(row)
+               for v in J.basis for row in S.action_matrix(v)):
+            J = J.intersect(annihilator(S))
     if not is_ideal(A, J, "two"):
         raise CheckFailure("radical candidate is not a two-sided ideal")
     power = J

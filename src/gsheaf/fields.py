@@ -1,7 +1,13 @@
 """Exact scalars: prime fields GF(p) and the rationals.
 
-GF(p) elements are plain ints in range(p); rational elements are
-`fractions.Fraction`.  Everything is exact -- no floats anywhere.
+GF(p) elements are plain ints in range(p).  A rational element is held in
+one canonical form: a plain int when it is integral, and a
+`fractions.Fraction` with denominator > 1 otherwise.  Almost every
+rational scalar met in practice is 0 or +-1, so the canonical form keeps
+the common case in machine-int arithmetic.  Every QQ method returns the
+canonical form; an integral `Fraction` passed in is accepted, since it
+compares and hashes equal to its int.  This module is the only place
+that makes a `Fraction`.  Everything is exact -- no floats anywhere.
 """
 
 from __future__ import annotations
@@ -13,9 +19,12 @@ from .errors import InputError
 # Primes accepted by the JSON loaders unless a cap flag raises the bound.
 DEFAULT_PRIME_CAP = 13
 
-# Fraction is immutable, so every rational zero and one can be these two.
-_QQ_ZERO = Fraction(0)
-_QQ_ONE = Fraction(1)
+
+def _qq(r):
+    """The canonical form of the rational r: its int when integral."""
+    if type(r) is int or r.denominator != 1:
+        return r
+    return r.numerator
 
 
 def is_prime(n: int) -> bool:
@@ -49,40 +58,36 @@ class Field:
             raise InputError("the rational field is infinite")
         return self.p
 
-    @property
-    def zero(self):
-        return 0 if self.p is not None else _QQ_ZERO
-
-    @property
-    def one(self):
-        return 1 if self.p is not None else _QQ_ONE
+    # The zero and one of GF(p) and of QQ alike (canonical rationals).
+    zero = 0
+    one = 1
 
     def add(self, a, b):
         if self.p is not None:
             return (a + b) % self.p
-        return a + b
+        return _qq(a + b)
 
     def sub(self, a, b):
         if self.p is not None:
             return (a - b) % self.p
-        return a - b
+        return _qq(a - b)
 
     def mul(self, a, b):
         if self.p is not None:
             return (a * b) % self.p
-        return a * b
+        return _qq(a * b)
 
     def neg(self, a):
         if self.p is not None:
             return (-a) % self.p
-        return -a
+        return _qq(-a)
 
     def inv(self, a):
         if a == 0:
             raise ZeroDivisionError("inverse of zero")
         if self.p is not None:
             return pow(a, -1, self.p)
-        return _QQ_ONE / a
+        return _qq(Fraction(a.denominator, a.numerator))
 
     def div(self, a, b):
         return self.mul(a, self.inv(b))
@@ -94,14 +99,14 @@ class Field:
                 raise InputError(f"GF({self.p}) coefficient must be an int, got {x!r}")
             return x % self.p
         if isinstance(x, Fraction):
-            return x
+            return _qq(x)
         if isinstance(x, bool):
             raise InputError(f"rational coefficient must be int or 'num/den', got {x!r}")
         if isinstance(x, int):
-            return Fraction(x)
+            return int(x)
         if isinstance(x, str):
             try:
-                return Fraction(x)
+                return _qq(Fraction(x))
             except (ValueError, ZeroDivisionError) as exc:
                 raise InputError(f"bad rational coefficient {x!r}") from exc
         raise InputError(f"bad rational coefficient {x!r}")

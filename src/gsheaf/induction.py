@@ -439,14 +439,13 @@ class ModuleStalks:
             return False
         T = []
         for u in units:
-            sp = self.stalk_space[u]
+            # the rows of T at u: stalk coordinates of each column P e_c
             P = M.action_matrix(conv.chi([G.unit_arrow(u)]))
-            for r in range(sp.dim):
-                row = []
-                for c in range(M.dim):
-                    col = linalg.mat_vec(f, P, _basis_vec(f, M.dim, c))
-                    row.append(sp.coords_of(col)[r])
-                T.append(row)
+            sp = self.stalk_space[u]
+            T.extend(linalg.transpose([sp.coords_of(col)
+                                       for col in linalg.transpose(P)]))
+        chi_action = {zeta: M.action_matrix(conv.chi([zeta]))
+                      for zeta, _ in conv.algebra.labels}
         for (zeta, i), mat in zip(conv.algebra.labels, M.mats):
             y, z = G.src[zeta], G.dst[zeta]
             sp_y, sp_z = self.stalk_space[y], self.stalk_space[z]
@@ -454,10 +453,10 @@ class ModuleStalks:
             # stalk multiplication by the coefficient e_i after beta_zeta
             sec = conv.point_mass(G.unit_arrow(z),
                                   _basis_vec(f, O.stalk[z].dim, i))
-            mult = self.module.action_matrix(sec)
+            mult = M.action_matrix(sec)
             for c in range(sp_y.dim):
                 v = list(sp_y.basis[c])
-                w = linalg.mat_vec(f, self.module.action_matrix(conv.chi([zeta])), v)
+                w = linalg.mat_vec(f, chi_action[zeta], v)
                 w = linalg.mat_vec(f, mult, w)
                 coords = sp_z.coords_of(w)
                 for r in range(sp_z.dim):

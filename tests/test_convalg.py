@@ -241,8 +241,9 @@ def test_rational_coefficients_stay_exact():
     half = [Fraction(1, 2) * c for c in f]
     prod = conv.algebra.mul(half, half)
     assert prod == [Fraction(1, 4) * c for c in conv.chi(["u1", "u2"])]
-    for c in prod:
-        assert isinstance(c, Fraction)
+    for c in prod:  # the canonical QQ form: an int when integral
+        assert type(c) is int or (type(c) is Fraction and c.denominator > 1)
+    assert {type(c) for c in prod} == {int, Fraction}
 
 
 def conv_of_rational():

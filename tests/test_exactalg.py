@@ -569,6 +569,23 @@ def test_radical_matches_bruteforce(A, expect):
     assert J.basis == radical_bruteforce(A).basis
 
 
+def test_radical_skips_factors_its_candidate_already_kills(monkeypatch):
+    # GF(2)[Z4] has four composition factors, all trivial: after the first
+    # annihilator the candidate acts as zero on the three repeats
+    A = table_algebra(2, ["1", "g", "gg", "ggg"])
+    calls = []
+
+    def counted(M):
+        calls.append(M.algebra)
+        return annihilator(M)
+
+    monkeypatch.setattr(exactalg, "annihilator", counted)
+    J = jacobson_radical(A)
+    assert sum(B is A for B in calls) == 1
+    assert J.dim == 3
+    assert J.basis == radical_bruteforce(A).basis
+
+
 def test_radical_of_quotient_is_zero():
     A = s3_algebra(2)
     J = jacobson_radical(A)

@@ -3,10 +3,11 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gsheaf.errors import CapExceeded, InputError
+from gsheaf.exactalg import Subspace
 from gsheaf.fields import DEFAULT_PRIME_CAP, GF, QQ, Field, is_prime
 
 
@@ -50,12 +51,46 @@ def test_gf_inverse_exhaustive():
             assert f.mul(a, f.inv(a)) == 1
 
 
+def is_canonical_qq(c) -> bool:
+    """An int (not a bool) when integral, a Fraction with denominator > 1
+    otherwise, never a float."""
+    return type(c) is int or (type(c) is Fraction and c.denominator > 1)
+
+
 def test_qq_is_fractions():
     assert QQ.add(Fraction(1, 2), Fraction(1, 3)) == Fraction(5, 6)
     assert QQ.mul(Fraction(2, 7), Fraction(7, 2)) == 1
     assert QQ.inv(Fraction(-3, 4)) == Fraction(-4, 3)
     assert QQ.zero == 0 and QQ.one == 1
-    assert isinstance(QQ.zero, Fraction)
+    assert type(QQ.zero) is int and type(QQ.one) is int
+    assert type(QQ.add(Fraction(1, 2), Fraction(1, 3))) is Fraction
+    assert type(QQ.mul(Fraction(2, 7), Fraction(7, 2))) is int
+    assert type(QQ.inv(Fraction(-3, 4))) is Fraction
+
+
+# Ints, Fractions with denominator > 1, and integral Fractions as a caller
+# may pass them un-normalised.
+_RATIONALS = st.one_of(
+    st.integers(-40, 40),
+    st.fractions(min_value=-20, max_value=20, max_denominator=12),
+    st.integers(-40, 40).map(Fraction),
+)
+
+
+@settings(derandomize=True, database=None)
+@given(_RATIONALS, _RATIONALS)
+def test_qq_ops_match_fraction_and_are_canonical(a, b):
+    fa, fb = Fraction(a), Fraction(b)
+    got = {"add": (QQ.add(a, b), fa + fb), "sub": (QQ.sub(a, b), fa - fb),
+           "mul": (QQ.mul(a, b), fa * fb), "neg": (QQ.neg(a), -fa),
+           "coerce": (QQ.coerce(a), fa),
+           "coerce_str": (QQ.coerce(f"{fa.numerator}/{fa.denominator}"), fa)}
+    if b != 0:
+        got["inv"] = (QQ.inv(b), 1 / fb)
+        got["div"] = (QQ.div(a, b), fa / fb)
+    for op, (value, expected) in got.items():
+        assert value == expected, op
+        assert is_canonical_qq(value), (op, value)
 
 
 def test_encode_coerce_round_trip():
@@ -66,6 +101,19 @@ def test_encode_coerce_round_trip():
     assert QQ.coerce("-2/3") == Fraction(-2, 3)
     assert QQ.coerce(5) == Fraction(5)
     assert QQ.coerce("4/2") == Fraction(2)
+
+
+def test_mixed_rational_forms_agree():
+    """Integral Fractions a caller passes in make the same subspace, hash
+    and JSON as the canonical ints."""
+    ints = [[1, 0, 2], [0, 1, -1], [1, 1, 1]]
+    fracs = [[Fraction(c) for c in row] for row in ints]
+    S, T = (Subspace.from_vectors(QQ, 3, vs) for vs in (ints, fracs))
+    assert S == T and hash(S) == hash(T)
+    assert S.basis == T.basis
+    assert all(is_canonical_qq(c) for row in T.basis for c in row)
+    assert QQ.encode(1) == QQ.encode(Fraction(1)) == QQ.encode(QQ.one) == "1/1"
+    assert QQ.encode(0) == QQ.encode(Fraction(0)) == "0/1"
 
 
 def test_coerce_rejects_garbage():

@@ -1,12 +1,16 @@
 """The built-in fixture catalog: coverage, provenance, clean runs."""
 
+from fractions import Fraction
+
 import pytest
 
 from gsheaf import convalg, exactalg, fixtures, isgring
 from gsheaf.errors import InputError
+from gsheaf.exactalg import FDAlgebra
 from gsheaf.fixtures import (CATALOG, MIN_CATALOG, catalog_names,
                              get_fixture, run_catalog, run_fixture)
 from gsheaf.reports import Report
+from gsheaf.schemas import dump_json
 
 
 def test_catalog_size():
@@ -150,3 +154,19 @@ def test_each_fixture_builds_its_skew_ring_once(monkeypatch):
     seen = [(id(A), recheck) for A, recheck in args["_radical"]]
     assert len(set(seen)) == len(seen)
 
+
+@pytest.mark.parametrize("name", ["P2-Q", "P3-Q"])
+def test_unnormalised_rational_stalks_give_the_same_reports(monkeypatch, name):
+    """A stalk table of integral Fractions, as a caller may build it, gives
+    byte for byte the reports of the canonical int table."""
+    def report_bytes():
+        return dump_json({"reports": [r.to_json() for r in run_fixture(name)]})
+
+    canonical = report_bytes()
+    one = Fraction(1)
+    monkeypatch.setattr(fixtures, "scalar_algebra",
+                        lambda field: FDAlgebra(field, ["1"], [[[one]]], [one]))
+    _, O = get_fixture(name).build()
+    assert all(type(A.table[0][0][0]) is Fraction and type(A.unit[0]) is Fraction
+               for A in O.stalk.values())
+    assert report_bytes() == canonical

@@ -93,7 +93,11 @@ def test_rational_solve_is_exact():
     b = [Fraction(7, 3), Fraction(5, 2)]
     x = linalg.solve(QQ, A, b)
     assert linalg.mat_vec(QQ, A, x) == b
-    assert all(isinstance(c, Fraction) for c in x)
+    assert x == [Fraction(8, 5), Fraction(9, 5)]
+    # the canonical QQ form: an int when integral, else denominator > 1
+    assert all(type(c) is Fraction and c.denominator > 1 for c in x)
+    y = linalg.solve(QQ, A, [Fraction(4, 3), Fraction(3, 2)])
+    assert y == [1, 1] and all(type(c) is int for c in y)
 
 
 @given(st.integers(0, 2**30), st.integers(1, 4), st.integers(1, 4))
