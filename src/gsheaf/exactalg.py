@@ -186,6 +186,22 @@ class FDAlgebra:
                     out[k] = f.add(out[k], f.mul(c, t))
         return out
 
+    def basis_products(self, v, side: str):
+        """[b_i v for each i] when side is "left", [v b_i for each i] when
+        "right": one pass over the nonzero coordinates of v."""
+        f = self.field
+        n = self.dim
+        out = [linalg.zero_vector(f, n) for _ in range(n)]
+        nonzero = self.nonzero_table()
+        for j, a in enumerate(v):
+            if a == 0:
+                continue
+            prods = [row[j] for row in nonzero] if side == "left" else nonzero[j]
+            for w, prod in zip(out, prods):
+                for k, t in prod:
+                    w[k] = f.add(w[k], f.mul(a, t))
+        return out
+
     def left_basis_mats(self):
         """Matrices of left multiplication by each basis element."""
         if self._left_mats is None:
@@ -228,7 +244,11 @@ class FDAlgebra:
 
 
 class AlgebraModule:
-    """A left module over an FDAlgebra, one action matrix per basis element."""
+    """A left module over an FDAlgebra, one action matrix per basis element.
+
+    mats must not change after the first action: actions read views of
+    them that are built once.
+    """
 
     def __init__(self, algebra: FDAlgebra, dim: int, mats):
         self.algebra = algebra
@@ -239,28 +259,71 @@ class AlgebraModule:
         for M in self.mats:
             if len(M) != dim or any(len(r) != dim for r in M):
                 raise AlgebraError("action matrix has the wrong shape")
+        self._nonzero: list | None = None
 
     @property
     def field(self) -> Field:
         return self.algebra.field
 
+    def nonzero_rows(self):
+        """nonzero_rows()[i][r] lists the (c, a) with a = mats[i][r][c] != 0."""
+        if self._nonzero is None:
+            self._nonzero = [[[(c, a) for c, a in enumerate(row) if a != 0]
+                              for row in M] for M in self.mats]
+        return self._nonzero
+
+    def act(self, i: int, v) -> list:
+        """rho(b_i) v."""
+        f = self.field
+        out = []
+        for row in self.nonzero_rows()[i]:
+            acc = f.zero
+            for c, a in row:
+                b = v[c]
+                if b != 0:
+                    acc = f.add(acc, f.mul(a, b))
+            out.append(acc)
+        return out
+
     def action_matrix(self, v):
-        return linalg.combine_matrices(self.field, v, self.mats, self.dim)
+        f = self.field
+        out = linalg.zero_matrix(f, self.dim, self.dim)
+        for a, rows in zip(v, self.nonzero_rows()):
+            if a == 0:
+                continue
+            for row, orow in zip(rows, out):
+                for c, x in row:
+                    orow[c] = f.add(orow[c], f.mul(a, x))
+        return out
 
     def validate(self) -> list[str]:
-        """Module axioms: compatibility on basis pairs, unit acts as id."""
+        """Module axioms: compatibility on basis pairs, unit acts as id.
+
+        Row r of rho(b_i) rho(b_j) - sum_k t_ijk rho(b_k) is summed over
+        the nonzero action entries and structure constants only.
+        """
         A = self.algebra
+        f = self.field
+        rows = self.nonzero_rows()
+        table = A.nonzero_table()
         bad = []
         for i in range(A.dim):
             for j in range(A.dim):
-                lhs = self.action_matrix(A.table[i][j])
-                rhs = linalg.mat_mul(self.field, self.mats[i], self.mats[j])
-                if not linalg.mat_eq(lhs, rhs):
-                    bad.append(f"action({A.labels[i]}*{A.labels[j]}) != "
-                               f"action({A.labels[i]})action({A.labels[j]})")
+                for r in range(self.dim):
+                    diff = {}
+                    for c, a in rows[i][r]:
+                        for d, b in rows[j][c]:
+                            diff[d] = f.add(diff.get(d, f.zero), f.mul(a, b))
+                    for k, t in table[i][j]:
+                        for d, x in rows[k][r]:
+                            diff[d] = f.sub(diff.get(d, f.zero), f.mul(t, x))
+                    if any(c != 0 for c in diff.values()):
+                        bad.append(f"action({A.labels[i]}*{A.labels[j]}) != "
+                                   f"action({A.labels[i]})action({A.labels[j]})")
+                        break
         if A.unit is not None:
             if not linalg.mat_eq(self.action_matrix(A.unit),
-                                 linalg.identity_matrix(self.field, self.dim)):
+                                 linalg.identity_matrix(f, self.dim)):
                 bad.append("unit does not act as the identity")
         return bad
 
@@ -347,29 +410,27 @@ def ideal_generated(A: FDAlgebra, gens, sided: str = "two",
                     stop_at_full: bool = False) -> Subspace:
     """Smallest left/right/two-sided ideal containing the generators.
 
-    The span of {g, Ag, gA, AgA} over the basis is already multiplicatively
-    closed, so a single pass suffices; stop_at_full bails out as soon as the
-    span is everything.
+    The left ideal L = g + Ag is spanned by the generators and their
+    basis products; the two-sided ideal is L + LA = (g + Ag) + (g + Ag)A,
+    so only the echelon rows of L are multiplied on the right, and a
+    single pass suffices.  stop_at_full bails out as soon as the span is
+    everything.
     """
     if sided not in ("left", "right", "two"):
         raise AlgebraError(f"sided must be left/right/two, got {sided!r}")
     f = A.field
-    L = A.left_basis_mats() if sided != "right" else []
-    R = A.right_basis_mats() if sided != "left" else []
-
-    def images(g):
-        """g, then b_i g, then g b_j and b_i g b_j, computed on demand."""
-        yield g
-        lefts = []
-        for Li in L:
-            lefts.append(linalg.mat_vec(f, Li, g))
-            yield lefts[-1]
-        for w in [g] + lefts:
-            for Rj in R:
-                yield linalg.mat_vec(f, Rj, w)
-
     span = IncrementalSpan(f, A.dim)
-    for w in itertools.chain.from_iterable(images(list(g)) for g in gens):
+
+    def images():
+        first = "right" if sided == "right" else "left"
+        for g in gens:
+            yield g
+            yield from A.basis_products(g, first)
+        if sided == "two":
+            for row in [list(r) for r in span.rows]:
+                yield from A.basis_products(row, "right")
+
+    for w in images():
         span.add(w)
         if stop_at_full and span.is_full():
             break
@@ -381,13 +442,9 @@ def is_ideal(A: FDAlgebra, S: Subspace, sided: str = "two") -> bool:
     if sided not in ("left", "right", "two"):
         raise AlgebraError(f"sided must be left/right/two, got {sided!r}")
     span = S._span()
-    basis = [A.basis_vector(i) for i in range(A.dim)]
-    for v in S.basis:
-        if sided != "right" and not all(span.contains(A.mul(b, v)) for b in basis):
-            return False
-        if sided != "left" and not all(span.contains(A.mul(v, b)) for b in basis):
-            return False
-    return True
+    sides = [side for side in ("left", "right") if sided in (side, "two")]
+    return all(span.contains(w) for v in S.basis for side in sides
+               for w in A.basis_products(v, side))
 
 
 def enumerate_two_sided_ideals(A: FDAlgebra, cap: int = IDEAL_DIM_CAP) -> list[Subspace]:
@@ -443,7 +500,8 @@ def _scan_two_sided_ideals(A: FDAlgebra) -> list[Subspace]:
 
 def _join_closure(A: FDAlgebra, cyclics: dict) -> list[Subspace]:
     """0 and every join of the given ideals, sorted by (dim, basis)."""
-    found: dict[tuple, Subspace] = {(): Subspace.zero(A.field, A.dim)}
+    f = A.field
+    found: dict[tuple, Subspace] = {(): Subspace.zero(f, A.dim)}
     for I in cyclics.values():
         found.setdefault(I.basis, I)
     work = list(found.values())
@@ -451,7 +509,14 @@ def _join_closure(A: FDAlgebra, cyclics: dict) -> list[Subspace]:
     while work:
         I = work.pop()
         for J in gens:
-            K = I.join(J)
+            # I's rows are already reduced: extend them by J's
+            span = IncrementalSpan(f, A.dim)
+            span.rows = [list(r) for r in I.basis]
+            span.pivots = list(I.pivots)
+            span.add_all(J.basis)
+            if span.dim == I.dim:
+                continue  # J lies in I
+            K = Subspace(f, A.dim, span.rows, span.pivots)
             if K.basis not in found:
                 found[K.basis] = K
                 work.append(K)
@@ -793,7 +858,7 @@ def submodule_generated(M: AlgebraModule, vectors,
         raise AlgebraError("submodule generation assumes a unital algebra")
     span = IncrementalSpan(f, M.dim)
     for w in itertools.chain.from_iterable(
-            itertools.chain([v], (linalg.mat_vec(f, X, v) for X in M.mats))
+            itertools.chain([v], (M.act(i, v) for i in range(M.algebra.dim)))
             for v in vectors):
         span.add(w)
         if stop_at_full and span.is_full():
@@ -802,12 +867,9 @@ def submodule_generated(M: AlgebraModule, vectors,
 
 
 def is_submodule(M: AlgebraModule, S: Subspace) -> bool:
-    f = M.field
-    for v in S.basis:
-        for i in range(M.algebra.dim):
-            if not S.contains(linalg.mat_vec(f, M.mats[i], list(v))):
-                return False
-    return True
+    span = S._span()
+    return all(span.contains(M.act(i, v))
+               for v in S.basis for i in range(M.algebra.dim))
 
 
 def module_simplicity_witness(M: AlgebraModule):
@@ -914,8 +976,12 @@ def quotient_module(M: AlgebraModule, N: Subspace):
     if not is_submodule(M, N):
         raise AlgebraError("quotient by a non-submodule")
     f = M.field
-    proj, lift = quotient_coords(f, N)
-    mats = [linalg.mat_mul(f, linalg.mat_mul(f, proj, Mi), lift) for Mi in M.mats]
+    proj, _ = quotient_coords(f, N)
+    # the lift places coordinates at the free columns: keep only those
+    pivset = set(N.pivots)
+    free = [j for j in range(M.dim) if j not in pivset]
+    mats = [linalg.mat_mul(f, proj, [[row[j] for j in free] for row in Mi])
+            for Mi in M.mats]
     return AlgebraModule(M.algebra, len(proj), mats), proj
 
 
@@ -923,12 +989,9 @@ def restrict_module(M: AlgebraModule, S: Subspace) -> AlgebraModule:
     """S as a module in its own coordinates. S must be a submodule."""
     if not is_submodule(M, S):
         raise AlgebraError("restriction to a non-submodule")
-    f = M.field
     mats = []
-    for Mi in M.mats:
-        rows = []
-        for v in S.basis:
-            rows.append(S.coords_of(linalg.mat_vec(f, Mi, list(v))))
+    for i in range(M.algebra.dim):
+        rows = [S.coords_of(M.act(i, v)) for v in S.basis]
         mats.append(linalg.transpose(rows) if rows else [])
     return AlgebraModule(M.algebra, S.dim, mats)
 
@@ -1164,7 +1227,7 @@ def quotient_algebra(A: FDAlgebra, I: Subspace):
     if not is_ideal(A, I, "two"):
         raise AlgebraError("quotient by a non-ideal")
     f = A.field
-    proj, lift = quotient_coords(f, I)
+    proj, _ = quotient_coords(f, I)
     q = len(proj)
     pivset = set(I.pivots)
     free = [j for j in range(A.dim) if j not in pivset]

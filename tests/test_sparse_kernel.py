@@ -2,10 +2,14 @@
 
 The reference functions below are the dense versions of FDAlgebra.mul,
 validate_algebra, mat_vec and mat_mul, which compared every entry of both
-operands with zero.  They live here only as the oracle: on seeded random
+operands with zero, and of the module and ideal layer: AlgebraModule
+validate/action_matrix, submodule_generated/is_submodule by mat_vec,
+quotient_module through the lift matrix, ideal_generated on all n + 1
+left images, is_ideal by A.mul(b, v), and the join closure by
+Subspace.join.  They live here only as the oracle: on seeded random
 tables and matrices, sparse and dense, over GF(2), GF(3), GF(5) and QQ,
-the kernel must give the same vectors, matrices and violation lists,
-entry type included.
+the kernel must give the same vectors, matrices, subspaces and violation
+lists, entry type included.
 """
 
 import random
@@ -16,8 +20,9 @@ import pytest
 from gsheaf import exactalg, linalg
 from gsheaf.convalg import build_conv_algebra
 from gsheaf.errors import AlgebraError
-from gsheaf.exactalg import AlgebraModule, FDAlgebra
+from gsheaf.exactalg import AlgebraModule, FDAlgebra, Subspace
 from gsheaf.fields import GF, QQ
+from gsheaf.linalg import IncrementalSpan
 from gsheaf.fixtures import (cyclic_mul, dual_numbers, group_groupoid,
                              pair_groupoid, s3_group, scalar_algebra)
 from gsheaf.sheaf import constant_sheaf
@@ -110,6 +115,89 @@ def dense_combination(field, coeffs, mats, n):
     return out
 
 
+def dense_module_validate(M):
+    """The old AlgebraModule.validate: dense products on every basis pair."""
+    A, f, n = M.algebra, M.field, M.dim
+    bad = []
+    for i in range(A.dim):
+        for j in range(A.dim):
+            lhs = dense_combination(f, A.table[i][j], M.mats, n)
+            rhs = dense_mat_mul(f, M.mats[i], M.mats[j])
+            if not linalg.mat_eq(lhs, rhs):
+                bad.append(f"action({A.labels[i]}*{A.labels[j]}) != "
+                           f"action({A.labels[i]})action({A.labels[j]})")
+    if A.unit is not None:
+        if not linalg.mat_eq(dense_combination(f, A.unit, M.mats, n),
+                             linalg.identity_matrix(f, n)):
+            bad.append("unit does not act as the identity")
+    return bad
+
+
+def dense_submodule_generated(M, vectors, stop_at_full=False):
+    f = M.field
+    span = IncrementalSpan(f, M.dim)
+    for v in vectors:
+        for w in [list(v)] + [dense_mat_vec(f, X, v) for X in M.mats]:
+            span.add(w)
+            if stop_at_full and span.is_full():
+                return Subspace(f, M.dim, span.rows, span.pivots)
+    return Subspace(f, M.dim, span.rows, span.pivots)
+
+
+def dense_is_submodule(M, S):
+    return all(S.contains(dense_mat_vec(M.field, X, list(v)))
+               for v in S.basis for X in M.mats)
+
+
+def dense_quotient_module(M, N):
+    f = M.field
+    proj, lift = exactalg.quotient_coords(f, N)
+    mats = [dense_mat_mul(f, dense_mat_mul(f, proj, X), lift) for X in M.mats]
+    return AlgebraModule(M.algebra, len(proj), mats), proj
+
+
+def dense_ideal_generated(A, gens, sided="two", stop_at_full=False):
+    """g, b_i g, then g b_j and b_i g b_j: (n + 1)(n + 1) vectors per g."""
+    f = A.field
+    L = A.left_basis_mats() if sided != "right" else []
+    R = A.right_basis_mats() if sided != "left" else []
+    span = IncrementalSpan(f, A.dim)
+    for g in gens:
+        g = list(g)
+        lefts = [dense_mat_vec(f, Li, g) for Li in L]
+        for w in [g] + lefts + [dense_mat_vec(f, Rj, w)
+                                for w in [g] + lefts for Rj in R]:
+            span.add(w)
+            if stop_at_full and span.is_full():
+                return Subspace(f, A.dim, span.rows, span.pivots)
+    return Subspace(f, A.dim, span.rows, span.pivots)
+
+
+def dense_is_ideal(A, S, sided="two"):
+    basis = [A.basis_vector(i) for i in range(A.dim)]
+    for v in S.basis:
+        if sided != "right" and not all(S.contains(A.mul(b, v)) for b in basis):
+            return False
+        if sided != "left" and not all(S.contains(A.mul(v, b)) for b in basis):
+            return False
+    return True
+
+
+def dense_join_closure(A, cyclics):
+    found = {(): Subspace.zero(A.field, A.dim)}
+    for I in cyclics.values():
+        found.setdefault(I.basis, I)
+    work = list(found.values())
+    while work:
+        I = work.pop()
+        for J in cyclics.values():
+            K = I.join(J)
+            if K.basis not in found:
+                found[K.basis] = K
+                work.append(K)
+    return sorted(found.values(), key=Subspace.sort_key)
+
+
 # ---------------------------------------------------------------------------
 # seeded random inputs
 
@@ -175,6 +263,34 @@ def perturbed(rng, A):
     i, j, k = (rng.randrange(A.dim) for _ in range(3))
     table[i][j][k] = f.add(table[i][j][k], f.one)
     return FDAlgebra(f, A.labels, table, A.unit)
+
+
+def random_module(rng, A, m, density):
+    """Random action matrices: almost never a module."""
+    return AlgebraModule(A, m, [matrix(rng, A.field, m, m, density)
+                                for _ in range(A.dim)])
+
+
+def genuine_modules(rng, f):
+    """Regular modules of the associative tables, sparse and rebased."""
+    mods = []
+    for A in associative_algebras(f):
+        mods += [exactalg.regular_module(A), exactalg.regular_module(rebased(rng, A))]
+    return mods
+
+
+def perturbed_module(rng, M):
+    """M with one action entry changed."""
+    f = M.field
+    mats = [[list(r) for r in X] for X in M.mats]
+    i, r, c = rng.randrange(len(mats)), rng.randrange(M.dim), rng.randrange(M.dim)
+    mats[i][r][c] = f.add(mats[i][r][c], f.one)
+    return AlgebraModule(M.algebra, M.dim, mats)
+
+
+def random_subspace(rng, f, n, density):
+    return Subspace.from_vectors(f, n, [vector(rng, f, n, density)
+                                        for _ in range(rng.randint(0, n))])
 
 
 def same(x, y):
@@ -269,3 +385,147 @@ def test_mat_mul_shape_error_matches_dense():
         dense_mat_mul(f, A, B)
     assert str(sparse.value) == str(dense.value) == \
         "matrix shapes do not compose: 3 vs 2"
+
+
+# ---------------------------------------------------------------------------
+# the module and ideal layer
+
+
+@pytest.mark.parametrize("density", DENSITIES)
+@pytest.mark.parametrize("f", FIELDS, ids=repr)
+def test_basis_products_match_mul(f, density):
+    rng = random.Random(f"basis_products-{f!r}-{density}")
+    for _ in range(10):
+        n = rng.randint(1, 5)
+        A = random_algebra(rng, f, n, density)
+        v = vector(rng, f, n, density)
+        basis = [A.basis_vector(i) for i in range(n)]
+        assert same(A.basis_products(v, "left"), [dense_mul(A, b, v) for b in basis])
+        assert same(A.basis_products(v, "right"), [dense_mul(A, v, b) for b in basis])
+
+
+@pytest.mark.parametrize("density", DENSITIES)
+@pytest.mark.parametrize("f", FIELDS, ids=repr)
+def test_module_validate_and_actions_match_dense_on_random_modules(f, density):
+    rng = random.Random(f"module-{f!r}-{density}")
+    for _ in range(6):
+        A = random_algebra(rng, f, rng.randint(1, 4), density)
+        M = random_module(rng, A, rng.randint(1, 4), density)
+        assert M.validate() == dense_module_validate(M)
+        for _ in range(3):
+            v = vector(rng, f, A.dim, density)
+            assert same(M.action_matrix(v), dense_combination(f, v, M.mats, M.dim))
+            w = vector(rng, f, M.dim, density)
+            for i in range(A.dim):
+                assert same(M.act(i, w), dense_mat_vec(f, M.mats[i], w))
+
+
+@pytest.mark.parametrize("f", FIELDS, ids=repr)
+def test_module_validate_matches_dense_on_genuine_and_broken_modules(f):
+    rng = random.Random(f"genuine-{f!r}")
+    for M in genuine_modules(rng, f):
+        assert M.validate() == dense_module_validate(M) == []
+        broken = perturbed_module(rng, M)
+        bad = broken.validate()
+        assert bad == dense_module_validate(broken)
+        assert bad
+
+
+@pytest.mark.parametrize("density", DENSITIES)
+@pytest.mark.parametrize("f", FIELDS, ids=repr)
+def test_submodules_and_quotients_match_dense(f, density):
+    rng = random.Random(f"submodule-{f!r}-{density}")
+    genuine = genuine_modules(rng, f)
+    mods = list(genuine)
+    for _ in range(4):
+        A = random_algebra(rng, f, rng.randint(1, 4), density)
+        A.unit = A.unit or tuple(vector(rng, f, A.dim, 1.0))  # generation needs a unit
+        mods.append(random_module(rng, A, rng.randint(1, 4), density))
+    for M in mods:
+        for k in (1, 2):
+            vs = [vector(rng, f, M.dim, density) for _ in range(k)]
+            for stop in (False, True):
+                S = exactalg.submodule_generated(M, vs, stop_at_full=stop)
+                assert S == dense_submodule_generated(M, vs, stop_at_full=stop)
+            # one step of generation is closed only under a genuine action
+            closed = dense_is_submodule(M, S)
+            assert exactalg.is_submodule(M, S) == closed
+            assert closed or M not in genuine
+            if closed:
+                Q, proj = exactalg.quotient_module(M, S)
+                Qd, projd = dense_quotient_module(M, S)
+                assert same(proj, projd) and same(Q.mats, Qd.mats)
+            T = random_subspace(rng, f, M.dim, density)
+            assert exactalg.is_submodule(M, T) == dense_is_submodule(M, T)
+
+
+@pytest.mark.parametrize("density", DENSITIES)
+@pytest.mark.parametrize("f", FIELDS, ids=repr)
+def test_ideal_generated_and_is_ideal_match_dense(f, density):
+    rng = random.Random(f"ideal-{f!r}-{density}")
+    algebras = [B for A in associative_algebras(f) for B in (A, rebased(rng, A))]
+    for _ in range(4):
+        algebras.append(random_algebra(rng, f, rng.randint(1, 5), density))
+    # non-unital, a b = b: A a = 0, so the two-sided ideal of a needs a b
+    algebras.append(FDAlgebra(f, ["a", "b"], [[[0, 0], [0, 1]], [[0, 0], [0, 0]]]))
+    for A in algebras:
+        gen_sets = [[A.basis_vector(0)]] + [
+            [vector(rng, f, A.dim, density) for _ in range(k)] for k in (1, 3)]
+        for gens in gen_sets:
+            for sided in ("left", "right", "two"):
+                for stop in (False, True):
+                    I = exactalg.ideal_generated(A, gens, sided, stop_at_full=stop)
+                    assert I == dense_ideal_generated(A, gens, sided, stop_at_full=stop)
+                for S in (I, random_subspace(rng, f, A.dim, density)):
+                    for side in ("left", "right", "two"):
+                        assert exactalg.is_ideal(A, S, side) == dense_is_ideal(A, S, side)
+
+
+@pytest.mark.parametrize("f", FIELDS, ids=repr)
+def test_join_closure_matches_subspace_join(f):
+    rng = random.Random(f"join-{f!r}")
+    for density in DENSITIES:
+        for _ in range(3):
+            n = rng.randint(1, 4)
+            A = random_algebra(rng, f, n, density)
+            cyclics = {}
+            for _ in range(4):
+                S = random_subspace(rng, f, n, density)
+                cyclics.setdefault(S.basis, S)
+            assert exactalg._join_closure(A, cyclics) == dense_join_closure(A, cyclics)
+
+
+def test_ideal_generation_multiplies_only_echelon_rows(monkeypatch):
+    A = exactalg.matrix_algebra(GF(2), 3)
+    e11 = A.basis_vector(0)
+    fed = []
+    add = IncrementalSpan.add
+
+    def counted(span, v):
+        fed.append(v)
+        return add(span, v)
+
+    monkeypatch.setattr(IncrementalSpan, "add", counted)
+    I = exactalg.ideal_generated(A, [e11])
+    # e11, its 9 left products, and 9 right products of each of the
+    # 3 echelon rows of A e11 = span{e11, e21, e31}
+    assert I.is_full() and len(fed) <= 1 + 9 + 3 * 9
+    fed.clear()
+    assert dense_ideal_generated(A, [e11]) == I and len(fed) == 10 * 10
+
+
+def test_nonzero_rows_are_built_once_per_module(monkeypatch):
+    views = []
+    nonzero_rows = AlgebraModule.nonzero_rows
+
+    def recorded(M):
+        views.append(nonzero_rows(M))
+        return views[-1]
+
+    monkeypatch.setattr(AlgebraModule, "nonzero_rows", recorded)
+    M = exactalg.regular_module(exactalg.matrix_algebra(GF(3), 2))
+    v = [1, 0, 2, 1]
+    assert M.validate() == []
+    M.action_matrix(v)
+    exactalg.submodule_generated(M, [v])
+    assert len(views) > 3 and all(view is views[0] for view in views)
