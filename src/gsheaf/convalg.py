@@ -272,21 +272,15 @@ def check_masa_criterion(conv: ConvAlgebra) -> Report:
     Holds for sheaves of fields (and, finitely, of integral domains);
     skipped otherwise.
     """
-    try:
-        fields = sheafmod.is_sheaf_of_fields(conv.sheaf)
-        cap = []
-    except CapExceeded as exc:
-        fields = False
-        cap = [str(exc)]
-    hyp = {"stalks are fields": fields}
-    if not fields:
-        return Report(check="masa-criterion", hypotheses=hyp, passed=None, caps_hit=cap)
-    masa = is_diagonal_masa(conv)
-    intker = sheafmod.int_ker_is_units(conv.sheaf)
-    return Report(check="masa-criterion", hypotheses=hyp,
-                  lhs={"diagonal is masa": masa},
-                  rhs={"kernel interior is the unit space": intker},
-                  passed=(masa == intker))
+    def decide(conv):
+        masa = is_diagonal_masa(conv)
+        intker = sheafmod.int_ker_is_units(conv.sheaf)
+        return dict(lhs={"diagonal is masa": masa},
+                    rhs={"kernel interior is the unit space": intker},
+                    passed=(masa == intker))
+
+    return _dictionary_check("masa-criterion", conv.groupoid, conv.sheaf,
+                             conv, False, decide)
 
 
 def check_uniqueness_theorem(conv: ConvAlgebra, cap: int = exactalg.IDEAL_DIM_CAP) -> Report:

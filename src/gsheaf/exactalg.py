@@ -24,7 +24,6 @@ from .linalg import IncrementalSpan
 IDEAL_DIM_CAP = 8
 SIMPLICITY_POINT_BUDGET = 10**6
 RADICAL_ORDER_CAP = 2**12
-VNR_ORDER_CAP = 2**16
 
 
 class Subspace:
@@ -773,23 +772,14 @@ def _density_certificate(A: FDAlgebra) -> bool:
 def simplicity_witness(A: FDAlgebra):
     """None when A is simple; else a vector generating a proper nonzero ideal.
 
-    Simplicity is decided by the certificate of is_simple, so a simple
-    algebra needs no point budget.  Within the budget, the witness of a
-    non-simple one is the first point of the projective-point scan with a
-    proper ideal; the scan must find one, or the two methods disagree.
-    Beyond it the witness comes from the structure: a nontrivial central
+    Simplicity is decided by the certificate of is_simple.  The witness
+    of a non-simple A comes from its structure: a nontrivial central
     primitive idempotent when A has several blocks, and otherwise (one
-    block that is not simple, so not semisimple) a nonzero vector of the
-    Jacobson radical.  Either must generate a proper nonzero ideal.
+    block that is not simple, so not semisimple) the first basis vector
+    of the Jacobson radical.  Either must generate a proper nonzero ideal.
     """
     if is_simple(A):
         return None
-    if num_projective_points(A.field, A.dim) <= SIMPLICITY_POINT_BUDGET:
-        wit = _scan_simplicity_witness(A)
-        if wit is None:
-            raise CheckFailure("simplicity certificate rejects an algebra whose "
-                               "projective points all generate it")
-        return wit
     blocks = central_primitive_idempotents(A)
     if len(blocks) > 1:
         wit = blocks[0]
@@ -800,28 +790,6 @@ def simplicity_witness(A: FDAlgebra):
         raise CheckFailure("a non-simple algebra has no structural witness "
                            "of a proper ideal")
     return tuple(wit)
-
-
-def _scan_simplicity_witness(A: FDAlgebra):
-    """Oracle: the first projective point generating a proper ideal, or None.
-
-    Checks that every projective direction generates everything, which is
-    sound and complete over a finite base field at (p^n - 1)/(p - 1) ideal
-    generations.
-    """
-    hit = _first_proper(projective_points(A.field, A.dim),
-                        lambda v: ideal_generated(A, [v], "two", stop_at_full=True))
-    return tuple(hit[0]) if hit else None
-
-
-def _first_proper(points, generate):
-    """(v, generate(v)) for the first point v that generates a proper
-    subspace, or None when every point generates the whole space."""
-    for v in points:
-        S = generate(v)
-        if not S.is_full():
-            return v, S
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -875,13 +843,16 @@ def is_submodule(M: AlgebraModule, S: Subspace) -> bool:
 def module_simplicity_witness(M: AlgebraModule):
     """None when M is simple; else a proper nonzero submodule.
 
-    The one irreducibility engine.  Within SIMPLICITY_POINT_BUDGET
-    projective points it scans them in order and returns the submodule
-    generated by the first point that does not generate M.  Beyond the
-    budget it runs Norton's test (_norton_witness).  Deterministic.
+    The one irreducibility engine.  A line is simple over any field.
+    Otherwise, within SIMPLICITY_POINT_BUDGET projective points it scans
+    them in order and returns the submodule generated by the first point
+    that does not generate M.  Beyond the budget it runs Norton's test
+    (_norton_witness).  Deterministic.
     """
     if M.dim == 0:
         raise AlgebraError("the zero module is not simple")
+    if M.dim == 1:
+        return None
     if num_projective_points(M.field, M.dim) > SIMPLICITY_POINT_BUDGET:
         return _norton_witness(M)
     return _cyclic_witness(M, projective_points(M.field, M.dim))
@@ -890,9 +861,11 @@ def module_simplicity_witness(M: AlgebraModule):
 def _cyclic_witness(M: AlgebraModule, points):
     """The proper submodule generated by the first of points that
     generates one, or None."""
-    hit = _first_proper(points,
-                        lambda v: submodule_generated(M, [v], stop_at_full=True))
-    return hit[1] if hit else None
+    for v in points:
+        S = submodule_generated(M, [v], stop_at_full=True)
+        if not S.is_full():
+            return S
+    return None
 
 
 def _norton_witness(M: AlgebraModule):
@@ -1180,19 +1153,24 @@ def radical_bruteforce(A: FDAlgebra, order_cap: int = RADICAL_ORDER_CAP) -> Subs
 # von Neumann regularity
 
 
-def is_von_neumann_regular(A: FDAlgebra, order_cap: int = VNR_ORDER_CAP):
-    """(flag, witness): every a has x with a x a = a; witness fails that."""
-    if not A.field.is_finite:
-        raise CapExceeded("von Neumann regularity test needs a finite base field")
-    if A.order() > order_cap:
-        raise CapExceeded(f"von Neumann regularity test capped at order {order_cap}")
+def is_von_neumann_regular(A: FDAlgebra):
+    """(flag, witness): does every a have x with a x a = a?
+
+    A finite-dimensional unital algebra is Artinian, and an Artinian ring
+    is von Neumann regular iff it is semisimple, iff J(A) = 0.  The
+    witness of a nonzero radical is its first basis vector, certified by
+    solving a x a = a, which must have no solution: a solution would make
+    x a an idempotent of the nilpotent ideal J, so x a = 0 and a = 0.
+    """
+    J = jacobson_radical(A)
+    if J.is_zero():
+        return True, None
     f = A.field
-    for a in A.elements():
-        a = list(a)
-        M = linalg.mat_mul(f, A.left_mult_matrix(a), A.right_mult_matrix(a))
-        if linalg.solve(f, M, a) is None:
-            return False, tuple(a)
-    return True, None
+    a = list(J.basis[0])
+    M = linalg.mat_mul(f, A.left_mult_matrix(a), A.right_mult_matrix(a))
+    if linalg.solve(f, M, a) is not None:
+        raise CheckFailure("a radical vector is von Neumann regular")
+    return False, tuple(a)
 
 
 # ---------------------------------------------------------------------------

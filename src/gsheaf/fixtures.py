@@ -462,7 +462,8 @@ _FIXTURES = [
             "radical_dim": (1, _WEDD),
             "fields": (True, _COUNT),
             "n_bisections": (3, _BIJ),
-            "siri_dims": ((2, 0, 2), "[DERIVED] dims over the three bisections"),
+            "siri_dims": ((2, 0, 2),
+                          "[DERIVED] dims over the two arrow singletons"),
         }),
 
     Fixture(
@@ -514,7 +515,8 @@ _FIXTURES = [
             "vnr": (True, "[TRIVIAL] the stalk is a field"),
             "radical_dim": (0, "[DERIVED] matrix rings are semisimple"),
             "fields": (True, _COUNT),
-            "siri_dims": ((4, 0, 4), "[DERIVED] dims over the three bisections"),
+            "siri_dims": ((4, 0, 4),
+                          "[DERIVED] dims over the two arrow singletons"),
         }),
 
     Fixture(

@@ -54,9 +54,6 @@ class FiniteGroupoid:
     def arrows_from(self, x):
         return [a for a in self.arrows if self.src[a] == x]
 
-    def arrows_to(self, y):
-        return [a for a in self.arrows if self.dst[a] == y]
-
     def arrows_between(self, x, y):
         return [a for a in self.arrows if self.src[a] == x and self.dst[a] == y]
 

@@ -479,6 +479,11 @@ def validate_space_action(act: SpaceAction) -> list[str]:
                         return [f"composite of ({s},{t}) undefined at {x}"]
                     if act.theta[st][x] != act.theta[s][y]:
                         return [f"theta[{s}] o theta[{t}] != theta[{st}] at {x}"]
+            # theta[st] is defined only where theta[s] o theta[t] is
+            for x in act.source_set(st):
+                if act.theta[t].get(x) not in act.source_set(s):
+                    return [f"theta[{st}] is defined at {x}, where "
+                            f"theta[{s}] o theta[{t}] is not"]
     return []
 
 

@@ -24,9 +24,6 @@ class GSheafOfAlgebras:
         self.stalk = dict(stalks)
         self.alpha = {a: [list(r) for r in m] for a, m in alpha.items()}
 
-    def stalk_at(self, unit) -> FDAlgebra:
-        return self.stalk[unit]
-
     def apply(self, arrow, v):
         return linalg.mat_vec(self.field, self.alpha[arrow], v)
 
@@ -174,8 +171,9 @@ def diagonal_vnr(O: GSheafOfAlgebras):
     """(flag, witness) for von Neumann regularity of the diagonal.
 
     The diagonal is the product of the stalks, so it is regular exactly
-    when every stalk is; a witness is (unit, element) with no solution
-    of a x a = a in that stalk.
+    when every stalk is, that is, when every stalk has zero radical
+    (exactalg.is_von_neumann_regular).  A witness is (unit, element) with
+    no solution of a x a = a in that stalk.
     """
     for u in O.groupoid.units:
         ok, wit = exactalg.is_von_neumann_regular(O.stalk[u])
@@ -194,9 +192,3 @@ def is_sheaf_of_indecomposables(O: GSheafOfAlgebras) -> bool:
 
 def stalks_commutative(O: GSheafOfAlgebras) -> bool:
     return all(O.stalk[u].is_commutative() for u in O.groupoid.units)
-
-
-def stalks_are_integral_domains(O: GSheafOfAlgebras) -> bool:
-    """Finite commutative integral domains are fields, so defer to that;
-    rational stalks are decided in dim 1 only."""
-    return is_sheaf_of_fields(O)

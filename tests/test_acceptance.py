@@ -40,7 +40,7 @@ from gsheaf.sheaf import (constant_sheaf, diagonal_vnr, int_ker_is_units,
 SMALL_DIM = 8          # ideal enumeration cap
 ORDER_CAP = 2 ** 12    # brute-force element scans
 # sha256 of `gsheaf --seed 0 fixtures run` on standard output
-CATALOG_SHA256 = "dbd351d5b83f33f212708451cb16393f5974f9b4f6bfea51f6341464d1a6baf8"
+CATALOG_SHA256 = "4a260b6baa32a93aad657f470a767c9730cd0c4c0f87e87ce60732f342ce744f"
 
 
 def sheaf_fixture_names():

@@ -215,6 +215,26 @@ def test_verify_space_action_checks(tmp_path, capsys):
     assert code == 0
 
 
+def test_non_homomorphic_space_action_is_an_input_error(tmp_path, capsys):
+    # S = {e, z} with e z = z: theta_e o theta_z is the identity on {a},
+    # but theta_z = theta_ez is the identity on {a, b}
+    doc = {
+        "kind": "space_action",
+        "semigroup": {"kind": "inverse_semigroup", "elements": ["e", "z"],
+                      "mul": [["e", "e", "e"], ["e", "z", "z"],
+                              ["z", "e", "z"], ["z", "z", "z"]],
+                      "star": [["e", "e"], ["z", "z"]]},
+        "space": ["a", "b"],
+        "domains": {"e": ["a"], "z": ["a", "b"]},
+        "theta": {"e": [["a", "a"]], "z": [["a", "a"], ["b", "b"]]},
+    }
+    p = write(tmp_path, "nonhom.json", doc)
+    code, out = run_cli(capsys, ["verify", "cinza", p])
+    assert code == 2
+    assert out["kind"] == "input_error"
+    assert "theta[z] is defined at b" in out["error"]
+
+
 def test_verify_partial_crossed(tmp_path, capsys):
     doc = schemas.partial_group_action_to_doc(partial_swap_action())
     p = write(tmp_path, "pswap_nofield.json", doc)

@@ -29,11 +29,13 @@ from gsheaf.exactalg import (AlgebraModule, FDAlgebra, Subspace, annihilator,
                              simple_modules_isomorphic, simplicity_witness,
                              subalgebra_on, validate_algebra)
 from gsheaf.fields import GF, QQ
-from gsheaf.fixtures import (cyclic_mul, disjoint_union, dual_numbers,
-                             f4_algebra, group_groupoid, pair_groupoid,
-                             run_catalog, s3_group, scalar_algebra,
-                             t1_groupoid)
-from gsheaf.sheaf import constant_sheaf
+from gsheaf.fixtures import (catalog_names, cyclic_mul, disjoint_union,
+                             dual_numbers, f4_algebra, get_fixture,
+                             group_groupoid, pair_groupoid, run_catalog,
+                             s3_group, scalar_algebra, t1_groupoid)
+from gsheaf.sheaf import (GSheafOfAlgebras, constant_sheaf, diagonal_vnr,
+                          validate_sheaf)
+from oracles import scan_simplicity_witness, vnr_scan
 
 
 def table_algebra(p, elements):
@@ -221,9 +223,24 @@ def test_simplicity_certificate_matches_scan(build):
     # M_3(GF(5)) is left to test_simplicity_beyond_the_point_budget: its
     # 488 281 projective points make the scan take minutes.
     A = build()
-    wit = exactalg._scan_simplicity_witness(A)
-    assert is_simple(A) == (wit is None)
-    assert simplicity_witness(A) == wit
+    assert is_simple(A) == (scan_simplicity_witness(A) is None)
+    assert_structural_witness(A)
+
+
+def assert_structural_witness(A):
+    """simplicity_witness(A) is None on a simple A; otherwise it is the
+    first central primitive idempotent when A has several blocks, else
+    the first radical basis vector, and it generates a proper nonzero
+    ideal."""
+    wit = simplicity_witness(A)
+    if is_simple(A):
+        assert wit is None
+        return
+    blocks = exactalg.central_primitive_idempotents(A)
+    expect = blocks[0] if len(blocks) > 1 else jacobson_radical(A).basis[0]
+    assert list(wit) == list(expect)
+    I = ideal_generated(A, [list(wit)], "two")
+    assert not I.is_zero() and not I.is_full()
 
 
 def input_key(x):
@@ -257,7 +274,8 @@ def test_simplicity_certificate_matches_scan_on_catalog(catalog_algebras):
     seen = catalog_algebras["is_simple"]
     assert len(seen) >= 18
     for A in seen:
-        assert is_simple(A) == (exactalg._scan_simplicity_witness(A) is None)
+        assert is_simple(A) == (scan_simplicity_witness(A) is None)
+        assert_structural_witness(A)
 
 
 def natural_module(A, basis, n):
@@ -671,15 +689,93 @@ def test_simple_quotients_of_a_non_regular_module():
 
 
 def test_vnr_witnesses():
-    ok, wit = is_von_neumann_regular(matrix_algebra(GF(2), 2))
+    # the element scan, which is_von_neumann_regular replaces by J = 0
+    for A in (matrix_algebra(GF(2), 2), dual_numbers(), z2_algebra(2)):
+        assert is_von_neumann_regular(A) == vnr_scan(A)
+    ok, wit = vnr_scan(matrix_algebra(GF(2), 2))
     assert ok and wit is None
-    ok, wit = is_von_neumann_regular(dual_numbers())
+    ok, wit = vnr_scan(dual_numbers())
     assert not ok
     assert list(wit) == [0, 1]  # u itself: u x u = 0 for every x
-    ok, _ = is_von_neumann_regular(z2_algebra(2))
+    ok, _ = vnr_scan(z2_algebra(2))
     assert not ok
     with pytest.raises(CapExceeded):
+        vnr_scan(matrix_algebra(QQ, 2))
+    with pytest.raises(CapExceeded):
         is_von_neumann_regular(matrix_algebra(QQ, 2))
+
+
+def catalog_sheaves():
+    """The catalog's sheaf fixtures over a finite field."""
+    out = []
+    for name in catalog_names():
+        fix = get_fixture(name)
+        if fix.kind == "sheaf":
+            O = fix.build()[1]
+            if O.field.is_finite:
+                out.append(O)
+    return out
+
+
+def test_diagonal_vnr_matches_the_element_scan():
+    # regularity from J = 0 against the element scan, on each catalog
+    # sheaf and on single stalks; a witness must fail a x a = a for every x
+    sheaves = catalog_sheaves()
+    assert len(sheaves) >= 14
+    stalks = {}
+    for O in sheaves:
+        scans = [vnr_scan(O.stalk[u])[0] for u in O.groupoid.units]
+        assert diagonal_vnr(O)[0] == all(scans)
+        for A in O.stalk.values():
+            stalks.setdefault(input_key(A), A)
+    assert len(stalks) == 4
+    # a field over one unit and the dual numbers over the other
+    G, f = t1_groupoid(2), GF(2)
+    mixed = GSheafOfAlgebras(
+        G, f, {"u1": scalar_algebra(f), "u2": dual_numbers()},
+        {"u1": [[1]], "u2": [[1, 0], [0, 1]]})
+    assert validate_sheaf(mixed)[0] == []
+    assert diagonal_vnr(mixed) == (False, {"unit": "u2", "element": [0, 1]})
+    algebras = (list(stalks.values()) + SMALL_ALGEBRAS
+                + [lattice_shape(spec) for spec in LATTICE_SHAPES])
+    irregular = 0
+    for A in algebras:
+        flag, wit = diagonal_vnr(constant_sheaf(t1_groupoid(1), A))
+        assert flag == vnr_scan(A)[0]
+        assert (wit is None) == flag
+        if wit is not None:
+            irregular += 1
+            a = [A.field.coerce(c) for c in wit["element"]]
+            assert not linalg.vec_is_zero(a)
+            assert all(A.mul(A.mul(a, list(x)), a) != a for x in A.elements())
+    assert irregular >= 5
+
+
+@pytest.mark.parametrize("spec", LATTICE_SHAPES)
+def test_structural_simplicity_witness_on_lattice_shapes(spec):
+    A = lattice_shape(spec)
+    assert is_simple(A) == (scan_simplicity_witness(A) is None)
+    assert_structural_witness(A)
+
+
+def test_a_line_is_simple_over_any_field():
+    # the top of the dual numbers, where u acts as 0, and the scalars
+    lines = [AlgebraModule(dual_over(p), 1, [[[1]], [[0]]]) for p in (2, 3)]
+    lines += [AlgebraModule(scalar_algebra(f), 1, [[[f.one]]])
+              for f in (GF(2), GF(5), QQ)]
+    for M in lines:
+        assert M.validate() == []
+        assert module_simplicity_witness(M) is None
+        if M.field.is_finite:
+            assert exactalg._cyclic_witness(
+                M, exactalg.projective_points(M.field, 1)) is None
+    # so a rational stalk of dim 1 has zero radical and is regular
+    O = constant_sheaf(pair_groupoid(2), scalar_algebra(QQ))
+    assert jacobson_radical(O.stalk["u1"]).is_zero()
+    assert diagonal_vnr(O) == (True, None)
+    # a larger rational stalk still hits the cap
+    with pytest.raises(CapExceeded, match="finite base field"):
+        diagonal_vnr(constant_sheaf(t1_groupoid(1), matrix_algebra(QQ, 2)))
 
 
 def test_annihilator_of_regular_module_is_zero():

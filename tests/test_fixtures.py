@@ -115,7 +115,8 @@ def test_report_line_format():
 def test_each_fixture_builds_its_skew_ring_once(monkeypatch):
     # the expectations read the battery's reports instead of rebuilding,
     # SIRI reuses the battery's convolution algebra, and each memoized
-    # invariant runs its body once per algebra (and seed)
+    # invariant runs its body once per algebra (and seed); the radical
+    # also runs on each stalk object, once, for the vnr checks
     calls, args = {}, {}
 
     def count(module, name):
@@ -144,7 +145,7 @@ def test_each_fixture_builds_its_skew_ring_once(monkeypatch):
                      "transformation_groupoid": 3,
                      "build_conv_algebra": 26, "validate_algebra": 104,
                      "_two_sided_ideals": 13, "_density_certificate": 18,
-                     "_centralizer_of_diagonal": 17, "_radical": 32,
+                     "_centralizer_of_diagonal": 17, "_radical": 66,
                      "_central_idempotents": 16}
     # the wrappers keep every argument alive, so ids are not reused
     for name in ("_two_sided_ideals", "_density_certificate",
