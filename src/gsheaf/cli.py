@@ -139,8 +139,7 @@ def cmd_check(args) -> int:
     if what == "masa":
         return _report_exit(convalg.check_masa_criterion(conv))
     if what == "uniqueness":
-        return _report_exit(convalg.check_uniqueness_theorem(
-            conv, args.cap_ideal_dim))
+        return _report_exit(convalg.check_uniqueness_theorem(conv))
     if what == "semiprimitive":
         return _report_exit(convalg.check_semiprimitivity(
             G, O, conv, args.seed))
@@ -152,8 +151,7 @@ def cmd_check(args) -> int:
 def cmd_ideals(args) -> int:
     G, O = _load_sheaf(args.file)
     conv = build_conv_algebra(G, O)
-    ideals = exactalg.enumerate_two_sided_ideals(conv.algebra,
-                                                 args.cap_ideal_dim)
+    ideals = exactalg.enumerate_two_sided_ideals(conv.algebra)
     f = conv.field
     _print({
         "algebra_dim": conv.dim,
@@ -206,8 +204,7 @@ def cmd_verify(args) -> int:
     if what == "effros-hahn":
         G, O = _load_sheaf(args.file)
         conv = build_conv_algebra(G, O)
-        return _report_exit(induction.verify_effros_hahn(
-            conv, args.cap_ideal_dim, args.seed))
+        return _report_exit(induction.verify_effros_hahn(conv, args.seed))
     if what == "simplelife":
         G, O = _load_sheaf(args.file)
         return _report_exit(convalg.check_simplelife(G, O))
@@ -245,7 +242,7 @@ def cmd_verify(args) -> int:
 def cmd_fixtures(args) -> int:
     if args.action != "run":
         raise InputError("the fixtures command only knows 'run'")
-    results = fixtures.run_catalog(args.filter, args.seed, args.cap_ideal_dim)
+    results = fixtures.run_catalog(args.filter, args.seed)
     if not results:
         raise InputError(f"no fixture name contains {args.filter!r}")
     doc = {name: [rep.to_json() for rep in reps]
@@ -266,9 +263,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0,
                    help="accepted for compatibility; every check is "
                         "deterministic, so it changes no answer (default 0)")
-    p.add_argument("--cap-ideal-dim", type=int, default=8,
-                   dest="cap_ideal_dim",
-                   help="dimension cap for ideal enumeration (default 8)")
     sub = p.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("validate", help="validate any input document")

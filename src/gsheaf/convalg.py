@@ -283,7 +283,7 @@ def check_masa_criterion(conv: ConvAlgebra) -> Report:
                              conv, False, decide)
 
 
-def check_uniqueness_theorem(conv: ConvAlgebra, cap: int = exactalg.IDEAL_DIM_CAP) -> Report:
+def check_uniqueness_theorem(conv: ConvAlgebra) -> Report:
     """Every nonzero ideal meets the centralizer of the diagonal.
 
     Equivalent finite form of injectivity-detection on the centralizer:
@@ -291,7 +291,7 @@ def check_uniqueness_theorem(conv: ConvAlgebra, cap: int = exactalg.IDEAL_DIM_CA
     diagonal's centralizer.
     """
     try:
-        ideals = exactalg.enumerate_two_sided_ideals(conv.algebra, cap)
+        ideals = exactalg.enumerate_two_sided_ideals(conv.algebra)
     except CapExceeded as exc:
         return Report(check="uniqueness", hypotheses={}, passed=None, caps_hit=[str(exc)])
     C = centralizer_of_diagonal(conv)

@@ -741,10 +741,10 @@ def vnr_diagonal_report(O: GSheafOfAlgebras) -> Report:
     return rep
 
 
-# Each battery takes the built fixture, the seed (which changes no answer:
-# every check is deterministic) and the ideal cap, and returns (reports,
-# getters): the reports it always runs and the getters its stored
-# expectations are compared with.
+# Each battery takes the built fixture and the seed (which changes no
+# answer: every check is deterministic), and returns (reports, getters):
+# the reports it always runs and the getters its stored expectations are
+# compared with.
 
 
 def _measured(rep: Report, read):
@@ -758,7 +758,7 @@ def _measured(rep: Report, read):
     return get
 
 
-def _sheaf_battery(built, seed: int, ideal_cap: int):
+def _sheaf_battery(built, seed: int):
     G, O = built
     conv = build_conv_algebra(G, O)
     siri = isgring.verify_siri(G, O, conv)
@@ -766,12 +766,12 @@ def _sheaf_battery(built, seed: int, ideal_cap: int):
         convalg.check_convolution_table(conv),
         convalg.check_bisection_convolution(conv),
         convalg.check_masa_criterion(conv),
-        convalg.check_uniqueness_theorem(conv, ideal_cap),
+        convalg.check_uniqueness_theorem(conv),
         convalg.check_simplelife(G, O, conv),
         convalg.check_primitivity(G, O, conv),
         convalg.check_semiprimitivity(G, O, conv, seed),
         vnr_diagonal_report(O),
-        induction.verify_effros_hahn(conv, ideal_cap, seed),
+        induction.verify_effros_hahn(conv, seed),
         siri,
         induction.check_disintegration(conv, exactalg.regular_module(
             conv.algebra)),
@@ -779,7 +779,7 @@ def _sheaf_battery(built, seed: int, ideal_cap: int):
     getters = {
         "dim": lambda: conv.dim,
         "n_ideals": lambda: len(exactalg.enumerate_two_sided_ideals(
-            conv.algebra, ideal_cap)),
+            conv.algebra)),
         "simple": lambda: exactalg.is_simple(conv.algebra),
         "minimal": lambda: is_minimal(G),
         "effective": lambda: is_effective(G),
@@ -794,7 +794,7 @@ def _sheaf_battery(built, seed: int, ideal_cap: int):
     return reports, getters
 
 
-def _space_battery(act: SpaceAction, seed: int, ideal_cap: int):
+def _space_battery(act: SpaceAction, seed: int):
     reports = [
         isgring.check_cinza(act),
         isgring.check_orbit_correspondence(act),
@@ -810,7 +810,7 @@ def _space_battery(act: SpaceAction, seed: int, ideal_cap: int):
     return reports, getters
 
 
-def _partial_battery(built, seed: int, ideal_cap: int):
+def _partial_battery(built, seed: int):
     act, field = built
     rep = isgring.verify_partial_crossed(act, field)
     getters = {
@@ -821,7 +821,7 @@ def _partial_battery(built, seed: int, ideal_cap: int):
     return [rep], getters
 
 
-def _ring_battery(act: SpectralRingAction, seed: int, ideal_cap: int):
+def _ring_battery(act: SpectralRingAction, seed: int):
     rep = isgring.pierce_verification(act)
     getters = {
         "n_atoms": _measured(rep, lambda r: r.rhs["atoms"]),
@@ -839,25 +839,23 @@ BATTERIES = {
 }
 
 
-def run_fixture(name: str, seed: int = 0,
-                ideal_cap: int = exactalg.IDEAL_DIM_CAP) -> list[Report]:
+def run_fixture(name: str, seed: int = 0) -> list[Report]:
     """Build the named fixture and run its whole battery of checks."""
     fix = get_fixture(name)
     if fix.kind not in BATTERIES:
         raise InputError(f"unknown fixture kind {fix.kind}")
-    reports, getters = BATTERIES[fix.kind](fix.build(), seed, ideal_cap)
+    reports, getters = BATTERIES[fix.kind](fix.build(), seed)
     for key in fix.expected:
         reports.append(_expected_report(fix, key, getters[key]))
     return reports
 
 
-def run_catalog(name_filter: str | None = None, seed: int = 0,
-                ideal_cap: int = exactalg.IDEAL_DIM_CAP) -> dict:
+def run_catalog(name_filter: str | None = None, seed: int = 0) -> dict:
     """Reports for every fixture whose name contains the filter,
     keyed by fixture name in sorted order."""
     out = {}
     for name in catalog_names():
         if name_filter and name_filter not in name:
             continue
-        out[name] = run_fixture(name, seed, ideal_cap)
+        out[name] = run_fixture(name, seed)
     return out

@@ -481,8 +481,7 @@ def module_stalks(conv: ConvAlgebra, M: AlgebraModule) -> ModuleStalks:
 # the induced-annihilator structure theorem
 
 
-def verify_effros_hahn(conv: ConvAlgebra, ideal_cap: int = exactalg.IDEAL_DIM_CAP,
-                       seed: int = 0) -> Report:
+def verify_effros_hahn(conv: ConvAlgebra, seed: int = 0) -> Report:
     """Induced-ideal structure on a finite instance.
 
     (1) every two-sided ideal I equals the intersection over units x of
@@ -499,7 +498,7 @@ def verify_effros_hahn(conv: ConvAlgebra, ideal_cap: int = exactalg.IDEAL_DIM_CA
     A = conv.algebra
     rep = Report(check="effros-hahn", hypotheses={})
     try:
-        ideals = exactalg.enumerate_two_sided_ideals(A, ideal_cap)
+        ideals = exactalg.enumerate_two_sided_ideals(A)
     except CapExceeded as exc:
         rep.passed = None
         rep.caps_hit.append(str(exc))

@@ -8,7 +8,8 @@ to enumerate.
 
 from gsheaf import linalg
 from gsheaf.errors import CapExceeded
-from gsheaf.exactalg import FDAlgebra, ideal_generated, projective_points
+from gsheaf.exactalg import (FDAlgebra, Subspace, _join_closure,
+                             ideal_generated, projective_points)
 
 VNR_ORDER_CAP = 2**16
 
@@ -37,3 +38,13 @@ def scan_simplicity_witness(A: FDAlgebra):
         if not ideal_generated(A, [v], "two", stop_at_full=True).is_full():
             return tuple(v)
     return None
+
+
+def scan_two_sided_ideals(A: FDAlgebra) -> list[Subspace]:
+    """The join-closure of the cyclic ideals of all projective points of
+    A, at (p^n - 1)/(p - 1) ideal generations."""
+    cyclics: dict[tuple, Subspace] = {}
+    for v in projective_points(A.field, A.dim):
+        I = ideal_generated(A, [v], "two")
+        cyclics.setdefault(I.basis, I)
+    return _join_closure(A, cyclics)

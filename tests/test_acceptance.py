@@ -37,10 +37,10 @@ from gsheaf.isgring import (check_cinza, check_orbit_correspondence,
 from gsheaf.sheaf import (constant_sheaf, diagonal_vnr, int_ker_is_units,
                           is_sheaf_of_fields, stalks_commutative)
 
-SMALL_DIM = 8          # ideal enumeration cap
+SMALL_DIM = 8          # size bound for the ideal-lattice and meataxe criteria
 ORDER_CAP = 2 ** 12    # brute-force element scans
 # sha256 of `gsheaf --seed 0 fixtures run` on standard output
-CATALOG_SHA256 = "4a260b6baa32a93aad657f470a767c9730cd0c4c0f87e87ce60732f342ce744f"
+CATALOG_SHA256 = "8bb62c983d02b4ffb19b9ec31e825f21dc560da8a7904b820fd7e55d057ee814"
 
 
 def sheaf_fixture_names():

@@ -141,12 +141,17 @@ def test_ideals_and_cap(tmp_path, capsys):
 
     p3 = const_doc(tmp_path, pair_groupoid(3), 2, "p3.json")
     code, doc = run_cli(capsys, ["ideals", p3])
-    assert code == 3
-    assert doc["kind"] == "cap_exceeded"
-
-    code, doc = run_cli(capsys, ["--cap-ideal-dim", "9", "ideals", p3])
     assert code == 0
     assert doc["count"] == 2
+
+    # GF(7)[Z7] is local, so its one Peirce piece has 137 257 points
+    labels = [f"z{i}" for i in range(7)]
+    z7 = const_doc(tmp_path, group_groupoid("z0", labels, cyclic_mul(labels)),
+                   7, "z7.json")
+    code, doc = run_cli(capsys, ["ideals", z7])
+    assert code == 3
+    assert doc["kind"] == "cap_exceeded"
+    assert doc["error"].endswith("Peirce points, algebra has 137257")
 
 
 def test_induce_command(tmp_path, capsys):

@@ -35,7 +35,7 @@ from gsheaf.fixtures import (catalog_names, cyclic_mul, disjoint_union,
                              s3_group, scalar_algebra, t1_groupoid)
 from gsheaf.sheaf import (GSheafOfAlgebras, constant_sheaf, diagonal_vnr,
                           validate_sheaf)
-from oracles import scan_simplicity_witness, vnr_scan
+from oracles import scan_simplicity_witness, scan_two_sided_ideals, vnr_scan
 
 
 def table_algebra(p, elements):
@@ -488,7 +488,7 @@ def assert_idempotents_certified(A):
 
 def assert_peirce_enumeration_correct(A):
     ideals = [I.basis for I in enumerate_two_sided_ideals(A)]
-    assert ideals == [I.basis for I in exactalg._scan_two_sided_ideals(A)]
+    assert ideals == [I.basis for I in scan_two_sided_ideals(A)]
     if subspace_count(A.field.order, A.dim) <= 4000:
         brute = sorted((S for S in enumerate_subspaces(A.field, A.dim)
                         if is_ideal(A, S, "two")), key=Subspace.sort_key)
@@ -504,14 +504,52 @@ def test_peirce_ideal_enumeration_matches_scan(build):
     assert_peirce_enumeration_correct(A)
 
 
+def assert_lattice_laws(A, ideals):
+    """The list holds 0 and A, only ideals, no repeats, and the join and
+    the meet of any two members."""
+    bases = {I.basis for I in ideals}
+    assert len(bases) == len(ideals)
+    assert Subspace.zero(A.field, A.dim).basis in bases
+    assert Subspace.full(A.field, A.dim).basis in bases
+    for I in ideals:
+        assert is_ideal(A, I, "two")
+        for J in ideals:
+            assert I.join(J).basis in bases and I.intersect(J).basis in bases
+
+
 def test_peirce_ideal_enumeration_matches_scan_on_catalog(catalog_algebras):
-    # every finite-field algebra of dim <= 8 whose ideals the catalog lists
-    seen = [A for A in catalog_algebras["enumerate_two_sided_ideals"]
-            if A.dim <= exactalg.IDEAL_DIM_CAP]
-    assert len(seen) >= 13
+    # every finite-field algebra whose ideals the catalog lists; the
+    # whole-space scan runs up to 1000 points (P3-F2 has 511, 0.2 s), and
+    # P3-F3 (9841 points, a 4-s scan) is held to the lattice laws and to
+    # is_simple instead
+    seen = catalog_algebras["enumerate_two_sided_ideals"]
+    assert len(seen) >= 15
+    scanned = 0
     for A in seen:
         assert_idempotents_certified(A)
-        assert_peirce_enumeration_correct(A)
+        if exactalg.num_projective_points(A.field, A.dim) <= 1000:
+            assert_peirce_enumeration_correct(A)
+            scanned += 1
+        else:
+            ideals = enumerate_two_sided_ideals(A)
+            assert_lattice_laws(A, ideals)
+            assert (len(ideals) == 2) == is_simple(A)
+    assert scanned >= 14
+
+
+def test_ideal_enumeration_caps_on_its_peirce_point_count(monkeypatch):
+    # GF(7)[Z7] is local: one Peirce piece, the whole of A, with
+    # (7^7 - 1)/6 points; the cap is raised before any ideal is generated
+    A = lattice_shape("Z7/F@7")
+    generated = []
+    monkeypatch.setattr(exactalg, "ideal_generated",
+                        lambda *args, **kwargs: generated.append(args))
+    with pytest.raises(CapExceeded) as caught:
+        enumerate_two_sided_ideals(A)
+    assert str(caught.value) == (
+        f"ideal enumeration capped at {exactalg.IDEAL_POINT_BUDGET} "
+        "Peirce points, algebra has 137257")
+    assert generated == []
 
 
 @pytest.mark.parametrize("build,blocks,pieces", [

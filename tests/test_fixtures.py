@@ -7,10 +7,12 @@ import pytest
 from gsheaf import convalg, exactalg, fixtures, isgring
 from gsheaf.errors import InputError
 from gsheaf.exactalg import FDAlgebra
+from gsheaf.fields import GF
 from gsheaf.fixtures import (CATALOG, MIN_CATALOG, catalog_names,
                              get_fixture, run_catalog, run_fixture)
 from gsheaf.reports import Report
 from gsheaf.schemas import dump_json
+from gsheaf.sheaf import constant_sheaf
 
 
 def test_catalog_size():
@@ -85,9 +87,14 @@ def test_rational_fixture_skips_instead_of_failing():
 
 
 def test_large_fixture_hits_caps_cleanly():
-    reps = run_fixture("P3-F3")
+    # GF(7)[Z7] is local, so its one Peirce piece has 137 257 points
+    labels = [f"z{i}" for i in range(7)]
+    G = fixtures.group_groupoid("z0", labels, fixtures.cyclic_mul(labels))
+    O = constant_sheaf(G, fixtures.scalar_algebra(GF(7)))
+    reps, _ = fixtures.BATTERIES["sheaf"]((G, O), 0)
     assert all(r.passed is not False for r in reps)
-    assert any(r.caps_hit for r in reps)
+    capped = [r.check for r in reps if r.caps_hit]
+    assert capped == ["uniqueness", "effros-hahn"]
 
 
 def test_run_catalog_filter():
@@ -116,7 +123,8 @@ def test_each_fixture_builds_its_skew_ring_once(monkeypatch):
     # the expectations read the battery's reports instead of rebuilding,
     # SIRI reuses the battery's convolution algebra, and each memoized
     # invariant runs its body once per algebra (and seed); the radical
-    # also runs on each stalk object, once, for the vnr checks
+    # also runs on each stalk object, once, for the vnr checks, and
+    # rechecks only the quotients by a nonzero radical
     calls, args = {}, {}
 
     def count(module, name):
@@ -143,10 +151,10 @@ def test_each_fixture_builds_its_skew_ring_once(monkeypatch):
     assert calls == {"skew_isg_ring": 26, "siri_data": 20, "pierce_data": 3,
                      "pierce_atoms": 3, "dual_ring_action": 3,
                      "transformation_groupoid": 3,
-                     "build_conv_algebra": 26, "validate_algebra": 104,
-                     "_two_sided_ideals": 13, "_density_certificate": 18,
-                     "_centralizer_of_diagonal": 17, "_radical": 66,
-                     "_central_idempotents": 16}
+                     "build_conv_algebra": 26, "validate_algebra": 110,
+                     "_two_sided_ideals": 15, "_density_certificate": 18,
+                     "_centralizer_of_diagonal": 17, "_radical": 43,
+                     "_central_idempotents": 18}
     # the wrappers keep every argument alive, so ids are not reused
     for name in ("_two_sided_ideals", "_density_certificate",
                  "_centralizer_of_diagonal", "_central_idempotents"):

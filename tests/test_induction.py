@@ -151,10 +151,14 @@ def test_effros_hahn_small_instances():
 
 
 def test_effros_hahn_caps_on_large_algebras():
-    conv = conv_of(pair_groupoid(3), 3)
-    rep = verify_effros_hahn(conv, ideal_cap=8)
+    # GF(7)[Z7] is local, so its one Peirce piece has 137 257 points
+    labels = [f"z{i}" for i in range(7)]
+    conv = conv_of(group_groupoid("z0", labels, cyclic_mul(labels)), 7)
+    rep = verify_effros_hahn(conv)
     assert rep.passed is None
-    assert rep.caps_hit
+    assert rep.caps_hit == [
+        f"ideal enumeration capped at {exactalg.IDEAL_POINT_BUDGET} "
+        "Peirce points, algebra has 137257"]
 
 
 def test_module_stalks_of_regular_module():

@@ -8,7 +8,7 @@ from gsheaf.convalg import ConvAlgebra, centralizer_of_diagonal
 from gsheaf.errors import AlgebraError, CapExceeded
 from gsheaf.exactalg import (FDAlgebra, Subspace, central_primitive_idempotents,
                              enumerate_two_sided_ideals, find_unit, is_simple,
-                             jacobson_radical, matrix_algebra, subalgebra_on)
+                             jacobson_radical, subalgebra_on)
 from gsheaf.fields import GF
 from gsheaf.fixtures import CATALOG, dual_numbers, run_catalog, swap_ring_action
 
@@ -82,13 +82,16 @@ def test_memoized_diagonal_centralizer_matches_a_fresh_copy(catalog_objects):
         assert centralizer_of_diagonal(conv) == centralizer_of_diagonal(copy)
 
 
-def test_a_smaller_cap_still_raises_after_a_larger_one():
-    A = matrix_algebra(GF(2), 2)
-    assert len(enumerate_two_sided_ideals(A, 8)) == 2
+def test_a_capped_enumeration_raises_again_like_a_fresh_copy():
+    # GF(7)[Z7]: one idempotent, so one Peirce piece of 137 257 points
+    A = exactalg.group_algebra(GF(7), range(7), lambda g, h: (g + h) % 7)
     with pytest.raises(CapExceeded) as caught:
-        enumerate_two_sided_ideals(A, 2)
-    assert str(caught.value) == answer(enumerate_two_sided_ideals, fresh(A), 2)[1]
-    assert str(caught.value) == "ideal enumeration capped at dim 2, algebra has dim 4"
+        enumerate_two_sided_ideals(A)
+    text = str(caught.value)
+    assert text.startswith("ideal enumeration capped at ")
+    assert text.endswith("Peirce points, algebra has 137257")
+    assert answer(enumerate_two_sided_ideals, A) == (CapExceeded, text)
+    assert answer(enumerate_two_sided_ideals, fresh(A)) == (CapExceeded, text)
 
 
 def test_returned_answers_are_copies():
