@@ -13,6 +13,8 @@ characteristic function of the unit space.  Basis labels are pairs
 
 from __future__ import annotations
 
+import weakref
+
 from . import exactalg, linalg, sheaf as sheafmod
 from .errors import CapExceeded, CheckFailure
 from .exactalg import FDAlgebra, Subspace
@@ -88,7 +90,25 @@ class ConvAlgebra:
 
 def build_conv_algebra(G: FiniteGroupoid, O: GSheafOfAlgebras,
                        validate: bool = True) -> ConvAlgebra:
-    """Construct Gamma_c(G, O) from structure constants."""
+    """Construct Gamma_c(G, O) from structure constants.
+
+    With validate, the sheaf and the algebra are certified, and the
+    certified algebra is returned again for the same objects G and O
+    while it is alive.  Without validate a fresh copy is built.
+    """
+    if not validate:
+        return _build(O, G, False)
+    # held weakly, because the algebra refers to O and a strong reference
+    # on O would make a cycle that only the garbage collector frees; a
+    # live algebra keeps G alive, so the id of G is not reused
+    built = vars(O).setdefault("_conv_algebras", weakref.WeakValueDictionary())
+    conv = built.get(id(G))
+    if conv is None:
+        conv = built[id(G)] = _build(O, G, True)
+    return conv
+
+
+def _build(O: GSheafOfAlgebras, G: FiniteGroupoid, validate: bool) -> ConvAlgebra:
     if validate:
         sheafmod.require_valid_sheaf(O)
     f = O.field
@@ -319,11 +339,11 @@ def _dictionary_check(check: str, G: FiniteGroupoid, O: GSheafOfAlgebras,
                       notes=()) -> Report:
     """The hypothesis/cap preamble shared by the dictionary checks.
 
-    The stalks must be fields and, with_masa, the diagonal a masa; the
-    convolution algebra is built when not given.  A failed hypothesis,
-    or a cap hit in the field test or in decide, gives a skip.
-    decide(conv) returns the lhs, rhs, passed and witnesses fields of
-    the report.
+    The stalks must be fields and, with_masa, the diagonal a masa; when
+    conv is not given, build_conv_algebra returns the one the caller
+    built, or builds it.  A failed hypothesis, or a cap hit in the field
+    test or in decide, gives a skip.  decide(conv) returns the lhs, rhs,
+    passed and witnesses fields of the report.
     """
     try:
         fields = sheafmod.is_sheaf_of_fields(O)

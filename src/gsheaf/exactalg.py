@@ -341,16 +341,19 @@ def validate_algebra(A: FDAlgebra) -> list[str]:
     genuine associative algebra.  (b_i b_j) b_k - b_i (b_j b_k) is summed
     over the nonzero structure constants only, so a triple costs O(s^2)
     field operations when each product b_i b_j has at most s nonzero
-    coordinates, and the whole check O(n^3 s^2).
+    coordinates.  Both sides are 0 when b_i b_j = 0 = b_j b_k, so only
+    the triples with a nonzero inner product are walked, in order.
     """
     f = A.field
     nonzero = A.nonzero_table()
     bad = []
     n = A.dim
-    for i in range(n):
-        for j in range(n):
+    every = range(n)
+    after = [[k for k in every if nonzero[j][k]] for j in every]
+    for i in every:
+        for j in every:
             left = nonzero[i][j]
-            for k in range(n):
+            for k in (every if left else after[j]):
                 diff = {}
                 for m, t in left:
                     for q, r in nonzero[m][k]:
@@ -706,8 +709,13 @@ def is_field(A: FDAlgebra) -> bool:
     Hence A is a field iff Frobenius is injective and fixes a
     one-dimensional subspace.  Non-unital or non-commutative algebras
     are not fields.  Over the rationals only the one-dimensional unital
-    case is decided; anything else raises rather than guessing.
+    case is decided; anything else raises, on every call, rather than
+    guessing.  A decided answer is computed once per algebra.
     """
+    return memoized(A, "field", _is_field)
+
+
+def _is_field(A: FDAlgebra) -> bool:
     if A.unit is None or A.dim == 0:
         return False
     if not A.is_commutative():
@@ -1213,13 +1221,9 @@ def quotient_algebra(A: FDAlgebra, I: Subspace):
     pivset = set(I.pivots)
     free = [j for j in range(A.dim) if j not in pivset]
     labels = [A.labels[j] for j in free]
-    table = []
-    for r, jr in enumerate(free):
-        row = []
-        for c, jc in enumerate(free):
-            prod = A.mul(A.basis_vector(jr), A.basis_vector(jc))
-            row.append(linalg.mat_vec(f, proj, prod))
-        table.append(row)
+    nonzero, zero = A.nonzero_table(), linalg.zero_vector(f, q)
+    table = [[linalg.mat_vec(f, proj, A.table[jr][jc]) if nonzero[jr][jc]
+              else zero for jc in free] for jr in free]
     unit = linalg.mat_vec(f, proj, list(A.unit)) if A.unit is not None else None
     if unit is not None and q == 0:
         unit = []

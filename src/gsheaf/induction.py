@@ -356,17 +356,19 @@ class ModuleStalks:
     """Stalks M_x = e_x M of a Gamma_c-module, with the arrow maps.
 
     Realizes M_x as the image of the idempotent e_x = chi_{x} with its
-    echelon basis; beta_gamma is left multiplication by chi_{gamma}.
+    echelon basis; beta_gamma is left multiplication by chi_{gamma}, and
+    chi_action[gamma] its matrix on M.
     """
 
     def __init__(self, conv: ConvAlgebra, M: AlgebraModule):
         G, f = conv.groupoid, conv.field
         self.conv = conv
         self.module = M
+        self.chi_action = {a: M.action_matrix(conv.chi([a])) for a in G.arrows}
         self.stalk_space: dict = {}
         self.proj: dict = {}
         for u in G.units:
-            P = M.action_matrix(conv.chi([G.unit_arrow(u)]))
+            P = self.chi_action[G.unit_arrow(u)]
             img = Subspace.from_vectors(f, M.dim, linalg.transpose(P))
             self.stalk_space[u] = img
         if sum(S.dim for S in self.stalk_space.values()) != M.dim:
@@ -375,7 +377,7 @@ class ModuleStalks:
         for a in G.arrows:
             src_sp = self.stalk_space[G.src[a]]
             dst_sp = self.stalk_space[G.dst[a]]
-            P = M.action_matrix(conv.chi([a]))
+            P = self.chi_action[a]
             rows = []
             for v in src_sp.basis:
                 w = linalg.mat_vec(f, P, list(v))
@@ -429,7 +431,8 @@ class ModuleStalks:
         onto (f . m)(z) = sum over zeta into z of f(zeta) beta_zeta(m(src)).
         """
         conv, M, f = self.conv, self.module, self.conv.field
-        G, O = conv.groupoid, conv.sheaf
+        G = conv.groupoid
+        chi_action = self.chi_action
         units = list(G.units)
         offs, total = {}, 0
         for u in units:
@@ -440,20 +443,17 @@ class ModuleStalks:
         T = []
         for u in units:
             # the rows of T at u: stalk coordinates of each column P e_c
-            P = M.action_matrix(conv.chi([G.unit_arrow(u)]))
+            P = chi_action[G.unit_arrow(u)]
             sp = self.stalk_space[u]
             T.extend(linalg.transpose([sp.coords_of(col)
                                        for col in linalg.transpose(P)]))
-        chi_action = {zeta: M.action_matrix(conv.chi([zeta]))
-                      for zeta, _ in conv.algebra.labels}
         for (zeta, i), mat in zip(conv.algebra.labels, M.mats):
             y, z = G.src[zeta], G.dst[zeta]
             sp_y, sp_z = self.stalk_space[y], self.stalk_space[z]
             recon = linalg.zero_matrix(f, total, total)
-            # stalk multiplication by the coefficient e_i after beta_zeta
-            sec = conv.point_mass(G.unit_arrow(z),
-                                  _basis_vec(f, O.stalk[z].dim, i))
-            mult = M.action_matrix(sec)
+            # stalk multiplication by the coefficient e_i after beta_zeta:
+            # the action of the basis element (unit arrow at z, i)
+            mult = M.mats[conv.index[G.unit_arrow(z), i]]
             for c in range(sp_y.dim):
                 v = list(sp_y.basis[c])
                 w = linalg.mat_vec(f, chi_action[zeta], v)

@@ -18,6 +18,14 @@ from .fields import Field
 from .groupoid import FiniteGroupoid
 
 class GSheafOfAlgebras:
+    """Stalks and transition maps over a groupoid.
+
+    The sheaf, its stalks and its maps must not change after the first
+    validation: the verdict is kept on the sheaf, and so are weak
+    references to the convolution algebras built from it (see
+    convalg.build_conv_algebra).
+    """
+
     def __init__(self, groupoid: FiniteGroupoid, field: Field, stalks, alpha):
         self.groupoid = groupoid
         self.field = field
@@ -108,7 +116,8 @@ def validate_sheaf(O: GSheafOfAlgebras):
 
 
 def require_valid_sheaf(O: GSheafOfAlgebras) -> None:
-    bad, _ = validate_sheaf(O)
+    """Raise InputError unless O is a sheaf, validated once per object."""
+    bad = exactalg.memoized(O, "violations", lambda O: validate_sheaf(O)[0])
     if bad:
         raise InputError("; ".join(bad[:3]))
 

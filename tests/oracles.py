@@ -10,6 +10,7 @@ from gsheaf import linalg
 from gsheaf.errors import CapExceeded
 from gsheaf.exactalg import (FDAlgebra, Subspace, _join_closure,
                              ideal_generated, projective_points)
+from gsheaf.isgring import FiniteInverseSemigroup
 
 VNR_ORDER_CAP = 2**16
 
@@ -48,3 +49,36 @@ def scan_two_sided_ideals(A: FDAlgebra) -> list[Subspace]:
         I = ideal_generated(A, [v], "two")
         cyclics.setdefault(I.basis, I)
     return _join_closure(A, cyclics)
+
+
+def scan_inverse_semigroup(S: FiniteInverseSemigroup) -> list[str]:
+    """The inverse semigroup axioms, each associativity triple read: a
+    list naming the first failure, or empty."""
+    elems = S.elements
+    eset = set(elems)
+    for s in elems:
+        if s not in S.star or S.star[s] not in eset:
+            return [f"star undefined or out of range at {s}"]
+        for t in elems:
+            if (s, t) not in S.mul or S.mul[s, t] not in eset:
+                return [f"product undefined or out of range at ({s},{t})"]
+    for s in elems:
+        if S.star[S.star[s]] != s:
+            return [f"star is not an involution at {s}"]
+    for a in elems:
+        for b in elems:
+            for c in elems:
+                if S.mul[S.mul[a, b], c] != S.mul[a, S.mul[b, c]]:
+                    return [f"associativity fails at ({a},{b},{c})"]
+    for s in elems:
+        st = S.star[s]
+        if S.mul[S.mul[s, st], s] != s:
+            return [f"s s* s != s at {s}"]
+        if S.mul[S.mul[st, s], st] != st:
+            return [f"s* s s* != s* at {s}"]
+    idem = [e for e in elems if S.mul[e, e] == e]
+    for e in idem:
+        for f in idem:
+            if S.mul[e, f] != S.mul[f, e]:
+                return [f"idempotents {e} and {f} do not commute"]
+    return []

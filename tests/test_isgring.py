@@ -1,6 +1,8 @@
 """Inverse semigroups, spectral ring actions, skew rings, germ groupoids,
 the bisection realization, the Pierce realization, partial crossed products."""
 
+import random
+
 import pytest
 
 from gsheaf import exactalg, linalg
@@ -33,6 +35,7 @@ from gsheaf.isgring import (FiniteInverseSemigroup, PartialGroupAction,
                             validate_space_action, verify_partial_crossed,
                             verify_siri)
 from gsheaf.sheaf import constant_sheaf
+from oracles import scan_inverse_semigroup
 
 
 # ---------------------------------------------------------------------------
@@ -87,6 +90,98 @@ def test_invalid_semigroup_rejected():
                                  validate=False)
     bad.star = {"e": "x"}
     assert validate_inverse_semigroup(bad) != []
+
+
+def table_semigroup(elems, mul, star=None):
+    return FiniteInverseSemigroup(elems, mul, star or {s: s for s in elems},
+                                  validate=False)
+
+
+def zero_of(S):
+    return [z for z in S.elements
+            if all(S.mul[z, c] == z == S.mul[c, z] for c in S.elements)]
+
+
+def random_table(rng, n, with_zero):
+    """A random product table that mostly lands on one element z, which
+    is made a zero, or kept from being one by z z != z."""
+    elems = [f"s{i}" for i in range(n)]
+    z = rng.choice(elems)
+    mul = {(a, b): z if rng.random() < 0.7 else rng.choice(elems)
+           for a in elems for b in elems}
+    if with_zero:
+        for c in elems:
+            mul[z, c] = mul[c, z] = z
+    elif n > 1:
+        for a in elems:
+            if mul[a, a] == a:  # then no element is a zero
+                mul[a, a] = rng.choice([b for b in elems if b != a])
+    return table_semigroup(elems, mul)
+
+
+@pytest.mark.parametrize("with_zero", [True, False])
+def test_semigroup_check_matches_the_scan_on_random_tables(with_zero):
+    rng = random.Random(f"isg-random-{with_zero}")
+    failed = 0
+    for _ in range(300):
+        S = random_table(rng, rng.randint(1, 6), with_zero)
+        assert bool(zero_of(S)) == with_zero or len(S.elements) == 1
+        bad = validate_inverse_semigroup(S)
+        assert bad == scan_inverse_semigroup(S)
+        failed += bool(bad)
+    assert failed > 200
+
+
+def test_semigroup_check_matches_the_scan_with_a_planted_failure():
+    # the symmetric inverse monoid has the zero [] (the empty map); plant
+    # a(bc) != z at every triple with ab = z != bc, so that the check
+    # must walk that triple although ab is the zero
+    rng = random.Random("isg-planted")
+    S, _ = symmetric_inverse_monoid(["1", "2"])
+    z = "[]"
+    assert zero_of(S) == [z]
+    named = 0
+    for a in S.elements:
+        for b in S.elements:
+            for c in S.elements:
+                d = S.mul[b, c]
+                if a == z or S.mul[a, b] != z or d == z:
+                    continue
+                mul = dict(S.mul)
+                mul[a, d] = rng.choice([w for w in S.elements if w != z])
+                order = list(S.elements)
+                rng.shuffle(order)
+                planted = table_semigroup(order, mul, S.star)
+                assert zero_of(planted) == [z]
+                bad = validate_inverse_semigroup(planted)
+                assert bad == scan_inverse_semigroup(planted) != []
+                named += bad == [f"associativity fails at ({a},{b},{c})"]
+    assert named > 0
+
+
+def test_semigroup_check_matches_the_scan_on_real_semigroups():
+    # with a zero (the empty map, the empty bisection) and without one
+    # (groups), in random orders and with one product changed
+    rng = random.Random("isg-real")
+    G = pair_groupoid(2)
+    units = {G.unit_arrow(u) for u in G.units}
+    wide, _ = bisection_semigroup(G, generators=[{a} for a in G.arrows]
+                                  + [units])
+    z4 = ["0", "1", "2", "3"]
+    for S, zeros in ((symmetric_inverse_monoid(["1", "2", "3"])[0], 1),
+                     (wide, 1), (table_semigroup(z4, cyclic_mul(z4), dict(zip(z4, "0321"))), 0),
+                     (z2_isg(), 0)):
+        assert len(zero_of(S)) == zeros
+        for _ in range(20):
+            order = list(S.elements)
+            rng.shuffle(order)
+            assert validate_inverse_semigroup(
+                table_semigroup(order, S.mul, S.star)) == []
+            mul = dict(S.mul)
+            mul[rng.choice(order), rng.choice(order)] = rng.choice(order)
+            changed = table_semigroup(order, mul, S.star)
+            assert validate_inverse_semigroup(changed) == \
+                scan_inverse_semigroup(changed)
 
 
 # ---------------------------------------------------------------------------

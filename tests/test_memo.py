@@ -1,16 +1,22 @@
 """Memoized invariants: each algebra computes each answer once, and the
 remembered answer is the one a fresh copy of the algebra computes."""
 
+import gc
+import json
+import weakref
+
 import pytest
 
-from gsheaf import convalg, exactalg, fixtures, isgring
+from gsheaf import cli, convalg, exactalg, fixtures, isgring, schemas
+from gsheaf import sheaf as sheafmod
 from gsheaf.convalg import ConvAlgebra, centralizer_of_diagonal
 from gsheaf.errors import AlgebraError, CapExceeded
 from gsheaf.exactalg import (FDAlgebra, Subspace, central_primitive_idempotents,
                              enumerate_two_sided_ideals, find_unit, is_simple,
                              jacobson_radical, subalgebra_on)
-from gsheaf.fields import GF
-from gsheaf.fixtures import CATALOG, dual_numbers, run_catalog, swap_ring_action
+from gsheaf.fields import GF, QQ
+from gsheaf.fixtures import (CATALOG, dual_numbers, pair_groupoid, run_catalog,
+                             scalar_algebra, swap_ring_action)
 
 
 def fresh(A):
@@ -145,6 +151,21 @@ def test_each_centre_is_computed_once(monkeypatch):
     assert centres[21:] == [D]
 
 
+def test_the_field_test_runs_once_and_its_cap_raises_every_time(monkeypatch):
+    runs = []
+    real = exactalg._is_field
+    monkeypatch.setattr(exactalg, "_is_field",
+                        lambda A: runs.append(A) or real(A))
+    # GF(2)[Z3] = GF(2) x GF(4) is not a field; QQ[Z2] is not decided
+    A = exactalg.group_algebra(GF(2), [0, 1, 2], lambda g, h: (g + h) % 3)
+    assert exactalg.is_field(A) is False and exactalg.is_field(A) is False
+    B = exactalg.group_algebra(QQ, [0, 1], lambda g, h: (g + h) % 2)
+    for _ in range(2):
+        with pytest.raises(CapExceeded, match="only decided in dim 1"):
+            exactalg.is_field(B)
+    assert runs == [A, B, B]
+
+
 def test_no_answer_outlives_a_change_of_unit(monkeypatch):
     runs = []
     real = exactalg._two_sided_ideals
@@ -176,3 +197,72 @@ def test_the_catalog_answers_the_same_twice_in_one_process():
     first = report_json(run_catalog(seed=0))
     assert report_json(run_catalog(seed=0)) == first
     assert len(first) == len(CATALOG)
+
+
+def p3_document(tmp_path, field):
+    O = sheafmod.constant_sheaf(pair_groupoid(3), scalar_algebra(field))
+    path = tmp_path / "p3.json"
+    path.write_text(schemas.dump_json(schemas.sheaf_to_doc(O)), encoding="utf-8")
+    return str(path)
+
+
+def counting(monkeypatch, module, name, calls):
+    """Record (name, first argument) for each call of module.name."""
+    real = getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append((name, args[0]))
+        return real(*args, **kwargs)
+    monkeypatch.setattr(module, name, wrapper)
+
+
+def test_a_loaded_sheaf_is_validated_and_built_once(monkeypatch, tmp_path):
+    calls = []
+    counting(monkeypatch, sheafmod, "validate_sheaf", calls)
+    counting(monkeypatch, convalg, "_build", calls)
+    counting(monkeypatch, exactalg, "validate_algebra", calls)
+    path = p3_document(tmp_path, GF(2))
+    _, O = schemas.load_document(path)
+    G = O.groupoid
+    conv = convalg.build_conv_algebra(G, O)
+    assert isgring.verify_siri(G, O).passed
+    assert isgring.siri_data(G, O).conv is conv
+    assert convalg.check_simplelife(G, O).passed
+    assert [c for c in calls if c[0] == "validate_sheaf"] == [("validate_sheaf", O)]
+    assert [c for c in calls if c[0] == "_build"] == [("_build", O)]
+    assert sum(A is conv.algebra for name, A in calls) == 1
+    # the memo is per object: an equal sheaf loaded again is built again
+    _, again = schemas.load_document(path)
+    other = convalg.build_conv_algebra(again.groupoid, again)
+    assert other is not conv and other.algebra.table == conv.algebra.table
+    assert [O for name, O in calls if name == "_build"] == [O, again]
+    # an unvalidated build is always a fresh copy
+    assert convalg.build_conv_algebra(G, O, validate=False) is not conv
+
+
+def test_a_kept_algebra_makes_no_reference_cycle():
+    # the sheaf holds its algebra weakly, so reference counting alone
+    # frees both, and an algebra no caller holds is built again
+    gc.disable()
+    try:
+        O = sheafmod.constant_sheaf(pair_groupoid(2), scalar_algebra(GF(2)))
+        conv = convalg.build_conv_algebra(O.groupoid, O)
+        assert convalg.build_conv_algebra(O.groupoid, O) is conv
+        gone = weakref.ref(conv)
+        del conv
+        assert gone() is None
+        assert convalg.build_conv_algebra(O.groupoid, O).sheaf is O
+        gone = weakref.ref(O)
+        del O
+        assert gone() is None
+    finally:
+        gc.enable()
+
+
+def test_the_cli_validates_and_builds_a_sheaf_once(monkeypatch, tmp_path, capsys):
+    calls = []
+    counting(monkeypatch, sheafmod, "validate_sheaf", calls)
+    counting(monkeypatch, convalg, "_build", calls)
+    assert cli.main(["verify", "siri", p3_document(tmp_path, QQ)]) == 0
+    assert json.loads(capsys.readouterr().out)["status"] == "pass"
+    assert [name for name, _ in calls] == ["validate_sheaf", "_build"]

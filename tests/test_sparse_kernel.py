@@ -342,6 +342,33 @@ def test_validate_matches_dense_on_associative_tables(f):
             assert bad
 
 
+@pytest.mark.parametrize("f", FIELDS, ids=repr)
+def test_validate_sees_a_failure_where_only_b_j_b_k_is_nonzero(f):
+    # both sides vanish when b_i b_j = 0 = b_j b_k, and those triples are
+    # not walked; changing b_i b_m, for m != j in the support of b_j b_k,
+    # breaks (i, j, k) with b_i b_j = 0 on the right-hand side alone
+    rng = random.Random(f"right-only-{f!r}")
+    planted = 0
+    for A in associative_algebras(f):
+        n, nz = A.dim, A.nonzero_table()
+        triples = [(i, j, k) for i in range(n) for j in range(n)
+                   for k in range(n) if not nz[i][j] and nz[j][k]]
+        for i, j, k in rng.sample(triples, min(16, len(triples))):
+            ms = [m for m, _ in nz[j][k] if m != j]
+            if not ms:
+                continue
+            m, q = rng.choice(ms), rng.randrange(n)
+            table = [[list(v) for v in row] for row in A.table]
+            table[i][m][q] = f.add(table[i][m][q], f.one)
+            broken = FDAlgebra(f, A.labels, table, A.unit)
+            bad = exactalg.validate_algebra(broken)
+            assert bad == dense_validate(broken)
+            assert (f"associativity fails on triple "
+                    f"({A.labels[i]},{A.labels[j]},{A.labels[k]})") in bad
+            planted += 1
+    assert planted >= 8
+
+
 @pytest.mark.parametrize("density", DENSITIES)
 @pytest.mark.parametrize("f", FIELDS, ids=repr)
 def test_mat_vec_matches_dense(f, density):
