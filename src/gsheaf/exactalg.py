@@ -979,28 +979,6 @@ def restrict_module(M: AlgebraModule, S: Subspace) -> AlgebraModule:
     return AlgebraModule(M.algebra, S.dim, mats)
 
 
-def direct_sum_modules(mods) -> AlgebraModule:
-    mods = list(mods)
-    if not mods:
-        raise AlgebraError("direct sum of no modules")
-    A = mods[0].algebra
-    f = A.field
-    if any(m.algebra is not A and m.algebra.table != A.table for m in mods):
-        raise AlgebraError("direct summands over different algebras")
-    total = sum(m.dim for m in mods)
-    mats = []
-    for i in range(A.dim):
-        M = linalg.zero_matrix(f, total, total)
-        off = 0
-        for m in mods:
-            for r in range(m.dim):
-                for c in range(m.dim):
-                    M[off + r][off + c] = m.mats[i][r][c]
-            off += m.dim
-        mats.append(M)
-    return AlgebraModule(A, total, mats)
-
-
 def hom_space(M: AlgebraModule, N: AlgebraModule):
     """Basis of intertwiners H with H rho_M(b) = rho_N(b) H, as matrices."""
     if M.algebra.dim != N.algebra.dim:
@@ -1077,15 +1055,15 @@ def meataxe_simple_quotients(M: AlgebraModule) -> list[AlgebraModule]:
 # radical
 
 
-def jacobson_radical(A: FDAlgebra, seed: int = 0, _recheck: bool = True) -> Subspace:
+def jacobson_radical(A: FDAlgebra, seed: int = 0) -> Subspace:
     """Intersection of the annihilators of the composition factors of A.
 
     Every simple A-module is a quotient of A, so a composition factor of
     the regular module, and the radical is the meet of their annihilators.
 
     Self-certifying: the result must be a nilpotent two-sided ideal with
-    J^k = 0 for some k <= dim, and a nonzero J must leave A/J with zero
-    radical on re-run (for J = 0 that re-run is the search just made).
+    J^k = 0 for some k <= dim, and the search run again on A/J, for a
+    nonzero proper J, must find zero (for J = 0 that search was just made).
     Computed once per algebra.  The search is deterministic, so seed is
     accepted for compatibility and changes no answer.
     """
@@ -1093,16 +1071,23 @@ def jacobson_radical(A: FDAlgebra, seed: int = 0, _recheck: bool = True) -> Subs
         raise AlgebraError("radical needs a unital algebra")
     if A.dim == 0:
         return Subspace.zero(A.field, 0)
-    return memoized(A, ("radical", _recheck), _radical, _recheck)
+    return memoized(A, "radical", _radical)
 
 
-def _radical(A: FDAlgebra, recheck: bool) -> Subspace:
+def _radical_search(A: FDAlgebra) -> Subspace:
+    """The meet of the annihilators of the composition factors of A,
+    uncertified."""
     J = Subspace.full(A.field, A.dim)
     for S in _composition_factors(regular_module(A)):
         # J inside Ann(S) already (an isomorphic repeat, say): J ∩ Ann(S) = J
         if any(not linalg.vec_is_zero(row)
                for v in J.basis for row in S.action_matrix(v)):
             J = J.intersect(annihilator(S))
+    return J
+
+
+def _radical(A: FDAlgebra) -> Subspace:
+    J = _radical_search(A)
     if not is_ideal(A, J, "two"):
         raise CheckFailure("radical candidate is not a two-sided ideal")
     power = J
@@ -1116,9 +1101,9 @@ def _radical(A: FDAlgebra, recheck: bool) -> Subspace:
                 nxt.append(A.mul(list(u), list(v)))
         power = Subspace.from_vectors(A.field, A.dim, nxt)
         k += 1
-    if recheck and not J.is_zero() and not J.is_full():
+    if not J.is_zero() and not J.is_full():
         Q, _ = quotient_algebra(A, J)
-        if not jacobson_radical(Q, _recheck=False).is_zero():
+        if not _radical_search(Q).is_zero():
             raise CheckFailure("A modulo its radical has nonzero radical")
     return J
 

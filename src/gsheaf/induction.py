@@ -5,7 +5,8 @@ the stalk at x: (a delta)(b eps) = a alpha_delta(b) (delta eps).  The
 space L_x of sections supported on arrows out of x is a
 (Gamma_c, B_x)-bimodule, free as a right B_x-module with one generator
 1_{eta_y} per orbit unit y along any transversal eta.  Inducing a left
-B_x-module M up gives
+B_x-module M up gives L_x (x) M, written out directly (the tests build
+L_x and its freeness maps as the reference):
 
     Ind_x(M) = sum over y in Orb(x) of a copy of M,
     f . (y, m) has component at z:
@@ -106,153 +107,6 @@ class Transversal:
                 raise CheckFailure("orbit unit unreachable by an arrow")
             eta[y] = min(between, key=G.arrow_index.get)
         return cls(conv, x, eta)
-
-
-class SectionBimodule:
-    """L_x: sections supported on arrows out of x, as a bimodule.
-
-    Left action of Gamma_c, right action of B_x; validated on basis
-    triples.  Basis labels are (arrow gamma with src gamma = x, stalk
-    index at dst gamma).
-    """
-
-    def __init__(self, conv: ConvAlgebra, x, B: FDAlgebra):
-        G = conv.groupoid
-        O = conv.sheaf
-        f = conv.field
-        self.conv = conv
-        self.x = x
-        self.B = B
-        self.arrows = G.arrows_from(x)
-        self.labels = [(g, i) for g in self.arrows
-                       for i in range(O.stalk[G.dst[g]].dim)]
-        self.index = {lab: k for k, lab in enumerate(self.labels)}
-        self.dim = len(self.labels)
-        # left action of Gamma_c basis (zeta, i)
-        left = []
-        for (zeta, i) in conv.algebra.labels:
-            M = linalg.zero_matrix(f, self.dim, self.dim)
-            for (g, j) in self.labels:
-                if G.src[zeta] != G.dst[g]:
-                    continue
-                stalk = O.stalk[G.dst[zeta]]
-                moved = O.apply(zeta, _basis_vec(f, O.stalk[G.dst[g]].dim, j))
-                prod = stalk.mul(_basis_vec(f, stalk.dim, i), moved)
-                tgt = G.compose[zeta, g]
-                col = self.index[g, j]
-                for k, c in enumerate(prod):
-                    if c != 0:
-                        M[self.index[tgt, k]][col] = c
-            left.append(M)
-        self.left = AlgebraModule(conv.algebra, self.dim, left)
-        # right action of B_x basis (i', delta): v . b
-        right = []
-        for (i2, delta) in B.labels:
-            M = linalg.zero_matrix(f, self.dim, self.dim)
-            for (g, j) in self.labels:
-                stalk = O.stalk[G.dst[g]]
-                moved = O.apply(g, _basis_vec(f, O.stalk[x].dim, i2))
-                prod = stalk.mul(_basis_vec(f, stalk.dim, j), moved)
-                tgt = G.compose[g, delta]
-                col = self.index[g, j]
-                for k, c in enumerate(prod):
-                    if c != 0:
-                        M[self.index[tgt, k]][col] = c
-            right.append(M)
-        self.right_mats = right
-
-    def right_action_matrix(self, bvec):
-        return linalg.combine_matrices(self.conv.field, bvec, self.right_mats,
-                                       self.dim)
-
-    def validate(self) -> list[str]:
-        f = self.conv.field
-        bad = self.left.validate()
-        B = self.B
-        # right module axioms: rho(b b') = rho(b') after rho(b) in matrix
-        # terms means N_{bb'} = N_{b'} @ ... acting on column vectors we
-        # need N_b N_{b'} applied right-to-left: (v.b).b' = N_{b'} N_b v.
-        for i in range(B.dim):
-            for j in range(B.dim):
-                lhs = self.right_action_matrix(list(B.table[i][j]))
-                rhs = linalg.mat_mul(f, self.right_mats[j], self.right_mats[i])
-                if not linalg.mat_eq(lhs, rhs):
-                    bad.append(f"right action fails on ({B.labels[i]},{B.labels[j]})")
-        if not linalg.mat_eq(self.right_action_matrix(list(B.unit)),
-                             linalg.identity_matrix(f, self.dim)):
-            bad.append("B unit does not act as identity on the right")
-        # bimodule compatibility on basis triples
-        for Mf in self.left.mats:
-            for Nb in self.right_mats:
-                if not linalg.mat_eq(linalg.mat_mul(f, Nb, Mf),
-                                     linalg.mat_mul(f, Mf, Nb)):
-                    bad.append("left and right actions do not commute")
-                    return bad
-        return bad
-
-
-def freeness_isomorphisms(L: SectionBimodule, T: Transversal):
-    """(Phi, Psi): mutually inverse right-B_x-maps between L_x and the
-    free module with basis 1_{eta_y}, y in the orbit.
-
-    Free-module basis labels are (y, B-basis label); returns the pair of
-    matrices and raises if they fail to be inverse or right-linear.
-    """
-    conv, B, x = L.conv, L.B, L.x
-    G, O, f = conv.groupoid, conv.sheaf, conv.field
-    free_labels = [(y, lab) for y in T.orbit for lab in B.labels]
-    fidx = {lab: k for k, lab in enumerate(free_labels)}
-    n = len(free_labels)
-    if n != L.dim:
-        raise CheckFailure("free module and L_x have different dimensions")
-    Phi = linalg.zero_matrix(f, n, L.dim)
-    for (g, i) in L.labels:
-        y = G.dst[g]
-        eta_inv = G.inverse[T.eta[y]]
-        a = O.apply(eta_inv, _basis_vec(f, O.stalk[y].dim, i))
-        delta = G.compose[eta_inv, g]
-        col = L.index[g, i]
-        for k, c in enumerate(a):
-            if c != 0:
-                Phi[fidx[y, (k, delta)]][col] = c
-    Psi = linalg.zero_matrix(f, L.dim, n)
-    for (y, (j, delta)) in free_labels:
-        b = O.apply(T.eta[y], _basis_vec(f, O.stalk[x].dim, j))
-        tgt = G.compose[T.eta[y], delta]
-        col = fidx[y, (j, delta)]
-        for k, c in enumerate(b):
-            if c != 0:
-                Psi[L.index[tgt, k]][col] = c
-    eye_n = linalg.identity_matrix(f, n)
-    if not linalg.mat_eq(linalg.mat_mul(f, Phi, Psi), eye_n):
-        raise CheckFailure("Phi o Psi is not the identity")
-    if not linalg.mat_eq(linalg.mat_mul(f, Psi, Phi),
-                         linalg.identity_matrix(f, L.dim)):
-        raise CheckFailure("Psi o Phi is not the identity")
-    # right B-linearity of Phi: Phi(v.b) = Phi(v).b, free side acting blockwise
-    for bi in range(B.dim):
-        Nb = L.right_mats[bi]
-        free_b = linalg.zero_matrix(f, n, n)
-        for (y, lab) in free_labels:
-            src_col = fidx[y, lab]
-            prod = B.mul(list(_onehot(f, B, lab)), B.basis_vector(bi))
-            for lab2, c in _vec_items(B, prod):
-                free_b[fidx[y, lab2]][src_col] = c
-        lhs = linalg.mat_mul(f, Phi, Nb)
-        rhs = linalg.mat_mul(f, free_b, Phi)
-        if not linalg.mat_eq(lhs, rhs):
-            raise CheckFailure("Phi is not right B-linear")
-    return Phi, Psi
-
-
-def _onehot(f, B, lab):
-    v = linalg.zero_vector(f, B.dim)
-    v[B.label_index[lab]] = f.one
-    return v
-
-
-def _vec_items(B, vec):
-    return [(B.labels[k], c) for k, c in enumerate(vec) if c != 0]
 
 
 def _displaced(conv: ConvAlgebra, T: Transversal, B: FDAlgebra, zeta, i):

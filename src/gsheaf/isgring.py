@@ -65,14 +65,6 @@ class FiniteInverseSemigroup:
         """u <= s in the natural partial order: u = u u* s."""
         return u == self.mul[self.mul[u, self.star[u]], s]
 
-    def is_group(self) -> bool:
-        return len(self.idempotents()) == 1
-
-    def group_unit(self):
-        if not self.is_group():
-            raise AlgebraError("semigroup has more than one idempotent")
-        return self.idempotents()[0]
-
     def __repr__(self):
         return f"FiniteInverseSemigroup({len(self.elements)} elements)"
 
@@ -118,33 +110,6 @@ def validate_inverse_semigroup(S: FiniteInverseSemigroup) -> list[str]:
             if S.mul[e, f] != S.mul[f, e]:
                 return [f"idempotents {e} and {f} do not commute"]
     return []
-
-
-def natural_order_violations(S: FiniteInverseSemigroup) -> list[str]:
-    """Partial-order and compatibility laws of the natural order."""
-    elems = S.elements
-    leq = {(u, s): S.natural_leq(u, s) for u in elems for s in elems}
-    bad = []
-    for s in elems:
-        if not leq[s, s]:
-            bad.append(f"not reflexive at {s}")
-    for u in elems:
-        for s in elems:
-            if leq[u, s] and leq[s, u] and u != s:
-                bad.append(f"not antisymmetric at ({u},{s})")
-            if leq[u, s] and not leq[S.star[u], S.star[s]]:
-                bad.append(f"u <= s but u* !<= s* at ({u},{s})")
-            for t in elems:
-                if leq[u, s] and leq[s, t] and not leq[u, t]:
-                    bad.append(f"not transitive at ({u},{s},{t})")
-    idem = S.idempotents()
-    for u in elems:
-        for s in elems:
-            if leq[u, s]:
-                for e in idem:
-                    if not leq[S.mul[u, e], S.mul[s, e]]:
-                        bad.append(f"u <= s but ue !<= se at ({u},{s},{e})")
-    return bad
 
 
 def symmetric_inverse_monoid(symbols):
@@ -207,11 +172,6 @@ class SpectralRingAction:
             if bad:
                 raise InputError("invalid ring action: " + bad[0])
 
-    def apply(self, s, v):
-        if not self.domain[self.semigroup.star[s]].contains(v):
-            raise AlgebraError(f"vector outside the domain of alpha[{s}]")
-        return linalg.mat_vec(self.algebra.field, self.alpha[s], v)
-
 
 def validate_ring_action(act: SpectralRingAction) -> list[str]:
     S, A = act.semigroup, act.algebra
@@ -262,36 +222,23 @@ def validate_ring_action(act: SpectralRingAction) -> list[str]:
             if A.mul(u, b) != A.mul(b, u):
                 return [f"identity of D_{s} is not central in the ambient ring"]
         act.units[s] = u
-    # alpha_s(unit of D_{s*}) = unit of D_s
-    for s in S.elements:
-        if linalg.mat_vec(f, act.alpha[s], act.units[S.star[s]]) != act.units[s]:
-            return [f"alpha[{s}] does not preserve domain units"]
-    # composites restrict: where alpha_s after alpha_t is defined it
-    # agrees with alpha_{st}.  proj[s] has kernel D_{s*}, and moved[t]
-    # holds the images under alpha_t of the basis of D_{t*}.
-    proj = {s: exactalg.quotient_coords(f, act.domain[S.star[s]])[0]
-            for s in S.elements}
-    moved = {t: [linalg.mat_vec(f, act.alpha[t], list(b))
-                 for b in act.domain[S.star[t]].basis] for t in S.elements}
+    # alpha_s, a ring isomorphism D_{s*} -> D_s, maps u_{s*} to u_s.
+    # The homomorphism law alpha_s o alpha_t = alpha_st.  The composite is
+    # defined on alpha_{t*}(D_{s*} D_t), the ideal with unit
+    # alpha_{t*}(u_{s*} u_t); units are central idempotents, so that ideal
+    # is D_{(st)*} exactly when its unit is u_{(st)*}
     for s in S.elements:
         for t in S.elements:
-            Dt = act.domain[S.star[t]]
-            rows = [linalg.mat_vec(f, proj[s], w) for w in moved[t]]
-            ker = linalg.kernel_basis(f, linalg.transpose(rows), Dt.dim) \
-                if Dt.dim else []
             st = S.mul[s, t]
-            Dst = act.domain[S.star[st]]
-            for coeffs in ker:
-                v = linalg.zero_vector(f, A.dim)
-                for k, c in enumerate(coeffs):
-                    if c != 0:
-                        v = linalg.vec_add(f, v,
-                                           linalg.vec_scale(f, c, list(Dt.basis[k])))
-                if not Dst.contains(v):
-                    return [f"composite domain of ({s},{t}) escapes D_{S.star[st]}"]
+            unit = linalg.mat_vec(f, act.alpha[S.star[t]],
+                                  A.mul(act.units[S.star[s]], act.units[t]))
+            if unit != act.units[S.star[st]]:
+                return [f"alpha[{s}] o alpha[{t}] is not defined exactly "
+                        f"on D_{S.star[st]}"]
+            for b in act.domain[S.star[st]].basis:
                 lhs = linalg.mat_vec(f, act.alpha[s],
-                                     linalg.mat_vec(f, act.alpha[t], v))
-                if lhs != linalg.mat_vec(f, act.alpha[st], v):
+                                     linalg.mat_vec(f, act.alpha[t], list(b)))
+                if lhs != linalg.mat_vec(f, act.alpha[st], list(b)):
                     return [f"alpha[{s}] o alpha[{t}] disagrees with alpha[{st}]"]
     total = Subspace.zero(f, A.dim)
     for e in idem:
@@ -460,7 +407,11 @@ class SpaceAction:
         return self.domain[self.semigroup.star[s]]
 
 
-def validate_space_action(act: SpaceAction) -> list[str]:
+def _partial_bijection_violations(act: SpaceAction) -> list[str]:
+    """The rules that space actions and partial group actions share: each
+    X_s lies in the space, theta_s is a bijection from X_{s*} onto X_s
+    that theta_{s*} inverts, idempotents fix their domains (an idempotent
+    is its own star), and theta_s o theta_t is contained in theta_st."""
     S = act.semigroup
     X = set(act.points)
     for s in S.elements:
@@ -469,19 +420,16 @@ def validate_space_action(act: SpaceAction) -> list[str]:
         if not act.domain[s] <= X:
             return [f"X_{s} contains unknown points"]
     for s in S.elements:
-        src, dst = act.source_set(s), act.domain[s]
         th = act.theta[s]
-        if set(th) != set(src):
+        if set(th) != act.source_set(s):
             return [f"theta[{s}] is not defined exactly on X_{S.star[s]}"]
-        if set(th.values()) != set(dst) or len(set(th.values())) != len(th):
+        if set(th.values()) != act.domain[s] or len(set(th.values())) != len(th):
             return [f"theta[{s}] is not a bijection onto X_{s}"]
         back = act.theta[S.star[s]]
         for x, y in th.items():
             if back.get(y) != x:
                 return [f"theta[{S.star[s]}] does not invert theta[{s}]"]
     for e in S.idempotents():
-        if act.domain[e] != act.source_set(e):
-            return [f"idempotent {e} has mismatched domain and range"]
         for x, y in act.theta[e].items():
             if x != y:
                 return [f"theta[{e}] moves {x}"]
@@ -494,7 +442,20 @@ def validate_space_action(act: SpaceAction) -> list[str]:
                         return [f"composite of ({s},{t}) undefined at {x}"]
                     if act.theta[st][x] != act.theta[s][y]:
                         return [f"theta[{s}] o theta[{t}] != theta[{st}] at {x}"]
-            # theta[st] is defined only where theta[s] o theta[t] is
+    return []
+
+
+def validate_space_action(act: SpaceAction) -> list[str]:
+    """A homomorphism into partial bijections: theta_s o theta_t is
+    theta_st, so theta_st is also defined only where theta_s o theta_t
+    is."""
+    bad = _partial_bijection_violations(act)
+    if bad:
+        return bad
+    S = act.semigroup
+    for s in S.elements:
+        for t in S.elements:
+            st = S.mul[s, t]
             for x in act.source_set(st):
                 if act.theta[t].get(x) not in act.source_set(s):
                     return [f"theta[{st}] is defined at {x}, where "
@@ -927,7 +888,9 @@ class PartialGroupAction:
     """Partial action of a finite group on a finite set.
 
     domain[g] is X_g, the range of theta_g: X_{g^{-1}} -> X_g; X_1 = X
-    and theta_1 is the identity.
+    and theta_1 is the identity.  It is a space action of the group, read
+    as an inverse semigroup, except that theta_g o theta_h need only be
+    contained in theta_gh (Exel 2008).
     """
 
     def __init__(self, elements, mul: dict, unit, points, domain: dict,
@@ -945,118 +908,60 @@ class PartialGroupAction:
             if bad:
                 raise InputError("invalid partial action: " + bad[0])
 
-    def inverse(self, g):
-        return self.inv[g]
-
 
 def validate_partial_group_action(act: PartialGroupAction) -> list[str]:
+    """The group axioms, X_1 = X, and the partial-bijection rules of a
+    space action of the group."""
     elems = act.elements
-    eset = set(elems)
-    if len(eset) != len(elems):
+    if len(set(elems)) != len(elems):
         return ["duplicate group elements"]
-    for a in elems:
-        for b in elems:
-            if (a, b) not in act.mul or act.mul[a, b] not in eset:
-                return [f"group product undefined at ({a},{b})"]
-    for a in elems:
-        for b in elems:
-            ab = act.mul[a, b]
-            for c in elems:
-                if act.mul[ab, c] != act.mul[a, act.mul[b, c]]:
-                    return [f"group associativity fails at ({a},{b},{c})"]
-    if act.unit not in eset:
+    if act.unit not in elems:
         return ["group unit missing"]
-    for a in elems:
-        if act.mul[act.unit, a] != a or act.mul[a, act.unit] != a:
-            return [f"unit law fails at {a}"]
+    # an inverse semigroup in which a a* = 1 = a* a for every a is a group
+    # with unit 1, so associativity is checked once, as a semigroup's
     for a in elems:
         invs = [b for b in elems
-                if act.mul[a, b] == act.unit and act.mul[b, a] == act.unit]
+                if act.mul.get((a, b)) == act.unit == act.mul.get((b, a))]
         if len(invs) != 1:
             return [f"no unique inverse for {a}"]
         act.inv[a] = invs[0]
-    X = set(act.points)
-    for g in elems:
-        if g not in act.domain or g not in act.theta:
-            return [f"missing domain or theta for {g}"]
-        if not act.domain[g] <= X:
-            return [f"X_{g} contains unknown points"]
-    if act.domain[act.unit] != X:
+    bad = (validate_inverse_semigroup(group_as_inverse_semigroup(act))
+           or _partial_bijection_violations(_space_action(act)))
+    if bad:
+        return bad
+    if act.domain[act.unit] != set(act.points):
         return ["X_1 is not the whole space"]
-    for x in act.points:
-        if act.theta[act.unit].get(x) != x:
-            return ["theta_1 is not the identity"]
-    for g in elems:
-        th = act.theta[g]
-        gi = act.inv[g]
-        if set(th) != set(act.domain[gi]):
-            return [f"theta[{g}] is not defined exactly on X_{gi}"]
-        if set(th.values()) != set(act.domain[g]) or len(set(th.values())) != len(th):
-            return [f"theta[{g}] is not a bijection onto X_{g}"]
-        for x, y in th.items():
-            if act.theta[gi].get(y) != x:
-                return [f"theta[{gi}] does not invert theta[{g}]"]
-    for g in elems:
-        for h in elems:
-            gh = act.mul[g, h]
-            for x, y in act.theta[h].items():
-                if y in act.domain[act.inv[g]]:
-                    if x not in act.domain[act.inv[gh]]:
-                        return [f"composite of ({g},{h}) undefined at {x}"]
-                    if act.theta[gh][x] != act.theta[g][y]:
-                        return [f"theta[{g}] o theta[{h}] != theta[{gh}] at {x}"]
     return []
 
 
-def transformation_groupoid(act: PartialGroupAction) -> FiniteGroupoid:
-    """Arrows (t,x) with x in X_t; range x, source theta_{t^{-1}}(x);
-    (s,y)(t,x) = (st,y) when theta_{s^{-1}}(y) = x."""
-    unit = act.unit
-    units = list(act.points)
-    arrows, src, dst = [], {}, {}
-    label = {}
-    for x in units:
-        label[unit, x] = x
-        arrows.append(x)
-        src[x], dst[x] = x, x
-    for t in act.elements:
-        if t == unit:
-            continue
-        for x in sorted(act.domain[t], key=act.pos.get):
-            lab = f"{t}@{x}"
-            if lab in act.pos:
-                raise InputError("arrow label collides with a point id")
-            label[t, x] = lab
-            arrows.append(lab)
-            dst[lab] = x
-            src[lab] = act.theta[act.inv[t]][x]
-    pair_of = {label[p]: p for p in label}
-    compose, inverse = {}, {}
-    for a in arrows:
-        (t, x) = pair_of[a]
-        ti = act.inv[t]
-        inverse[a] = label[ti, act.theta[ti][x]]
-        for b in arrows:
-            (w, _) = pair_of[b]
-            if src[a] != dst[b]:
-                continue
-            tw = act.mul[t, w]
-            if x not in act.domain[tw]:
-                raise CheckFailure("composite arrow escapes its domain")
-            compose[a, b] = label[tw, x]
-    G = FiniteGroupoid(units, arrows, src, dst, compose, inverse)
-    require_valid_groupoid(G)
-    return G
-
-
 def group_as_inverse_semigroup(act: PartialGroupAction) -> FiniteInverseSemigroup:
-    star = {g: act.inv[g] for g in act.elements}
-    return FiniteInverseSemigroup(act.elements, act.mul, star)
+    """The group of a validated partial action, star the inverse."""
+    return FiniteInverseSemigroup(act.elements, act.mul, act.inv,
+                                  validate=False)
+
+
+def _space_action(act: PartialGroupAction) -> SpaceAction:
+    return SpaceAction(group_as_inverse_semigroup(act), act.points,
+                       act.domain, act.theta, validate=False)
+
+
+def transformation_groupoid(act: PartialGroupAction) -> FiniteGroupoid:
+    """The germ groupoid of act as a space action of its group.  In a
+    group u <= s only when u = s, so the arrows are the pairs (g, x) with
+    x in X_{g^{-1}}: source x, range theta_g(x), labeled x when g = 1 and
+    "g@x" otherwise, with (h, theta_g(x)) (g, x) = (hg, x)."""
+    return germ_groupoid(_space_action(act)).groupoid
 
 
 def dual_ring_action(act: PartialGroupAction, field: Field):
     """The induced partial action on functions X -> field: D_g is the
-    functions vanishing off X_g and alpha_g(f) = f o theta_{g^{-1}}."""
+    functions vanishing off X_g and alpha_g(f) = f o theta_{g^{-1}}.
+
+    Like act, it is a partial action: alpha_g o alpha_h is only contained
+    in alpha_gh, so validate_ring_action, which asks for the homomorphism
+    law, does not apply.  Its axioms are those of act, which
+    validate_partial_group_action checked; verify_partial_crossed
+    certifies the ring it builds."""
     S = group_as_inverse_semigroup(act)
     f = field
     X = act.points
@@ -1080,11 +985,7 @@ def dual_ring_action(act: PartialGroupAction, field: Field):
         for x, y in act.theta[g].items():
             M[pos[y]][pos[x]] = f.one
         alpha[g] = M
-    ring_act = SpectralRingAction(S, A, domain, alpha, validate=False)
-    bad = validate_ring_action(ring_act)
-    if bad:
-        raise CheckFailure("dual action fails the action axioms: " + bad[0])
-    return ring_act
+    return SpectralRingAction(S, A, domain, alpha, validate=False)
 
 
 def verify_partial_crossed(act: PartialGroupAction, field: Field) -> Report:
@@ -1094,7 +995,8 @@ def verify_partial_crossed(act: PartialGroupAction, field: Field) -> Report:
     Also re-verifies the transformation groupoid's own convolution
     algebra as the skew ring of its bisection action.
     """
-    G = transformation_groupoid(act)
+    germ = germ_groupoid(_space_action(act))
+    G = germ.groupoid
     O = constant_sheaf(G, exactalg.scalar_algebra(field))
     conv = build_conv_algebra(G, O)
 
@@ -1102,8 +1004,7 @@ def verify_partial_crossed(act: PartialGroupAction, field: Field) -> Report:
         a_hat = linalg.zero_vector(field, conv.dim)
         for x in act.points:
             a_hat[conv.index[G.unit_arrow(x), 0]] = a[act.pos[x]]
-        return a_hat, [x if g == act.unit else f"{g}@{x}"
-                       for x in act.domain[g]]
+        return a_hat, germ.slice_labels(g)
 
     real = SkewRealization(dual_ring_action(act, field), conv, images)
     if not real.skew.N.is_zero():

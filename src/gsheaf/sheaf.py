@@ -192,12 +192,5 @@ def diagonal_vnr(O: GSheafOfAlgebras):
     return True, None
 
 
-def is_sheaf_of_indecomposables(O: GSheafOfAlgebras) -> bool:
-    """No stalk has a central idempotent besides 0 and 1, that is, none
-    has more than one central primitive idempotent."""
-    return not any(len(exactalg.central_primitive_idempotents(O.stalk[u])) > 1
-                   for u in O.groupoid.units)
-
-
 def stalks_commutative(O: GSheafOfAlgebras) -> bool:
     return all(O.stalk[u].is_commutative() for u in O.groupoid.units)

@@ -1,15 +1,20 @@
-"""Exhaustive oracles that pin down the structural routines in tests.
+"""Exhaustive oracles and reference constructions that pin down the
+structural routines in tests.
 
 Each scan is sound and complete over a finite base field but walks every
 element or every projective point, so the package itself never calls
 them: they exist to be compared with the engine on algebras small enough
-to enumerate.
+to enumerate.  The reference constructions at the bottom build, the long
+way, objects that the package reaches by a shorter route.
 """
 
 from gsheaf import linalg
-from gsheaf.errors import CapExceeded
-from gsheaf.exactalg import (FDAlgebra, Subspace, _join_closure,
-                             ideal_generated, projective_points)
+from gsheaf.convalg import ConvAlgebra
+from gsheaf.errors import AlgebraError, CapExceeded, CheckFailure
+from gsheaf.exactalg import (AlgebraModule, FDAlgebra, Subspace,
+                             _join_closure, ideal_generated,
+                             projective_points)
+from gsheaf.induction import Transversal, _basis_vec
 from gsheaf.isgring import FiniteInverseSemigroup
 
 VNR_ORDER_CAP = 2**16
@@ -82,3 +87,192 @@ def scan_inverse_semigroup(S: FiniteInverseSemigroup) -> list[str]:
             if S.mul[e, f] != S.mul[f, e]:
                 return [f"idempotents {e} and {f} do not commute"]
     return []
+
+
+def natural_order_violations(S: FiniteInverseSemigroup) -> list[str]:
+    """Partial-order and compatibility laws of the natural order."""
+    elems = S.elements
+    leq = {(u, s): S.natural_leq(u, s) for u in elems for s in elems}
+    bad = []
+    for s in elems:
+        if not leq[s, s]:
+            bad.append(f"not reflexive at {s}")
+    for u in elems:
+        for s in elems:
+            if leq[u, s] and leq[s, u] and u != s:
+                bad.append(f"not antisymmetric at ({u},{s})")
+            if leq[u, s] and not leq[S.star[u], S.star[s]]:
+                bad.append(f"u <= s but u* !<= s* at ({u},{s})")
+            for t in elems:
+                if leq[u, s] and leq[s, t] and not leq[u, t]:
+                    bad.append(f"not transitive at ({u},{s},{t})")
+    idem = S.idempotents()
+    for u in elems:
+        for s in elems:
+            if leq[u, s]:
+                for e in idem:
+                    if not leq[S.mul[u, e], S.mul[s, e]]:
+                        bad.append(f"u <= s but ue !<= se at ({u},{s},{e})")
+    return bad
+
+
+def direct_sum_modules(mods) -> AlgebraModule:
+    """The block-diagonal sum of modules over one algebra."""
+    mods = list(mods)
+    if not mods:
+        raise AlgebraError("direct sum of no modules")
+    A = mods[0].algebra
+    f = A.field
+    if any(m.algebra is not A and m.algebra.table != A.table for m in mods):
+        raise AlgebraError("direct summands over different algebras")
+    total = sum(m.dim for m in mods)
+    mats = []
+    for i in range(A.dim):
+        M = linalg.zero_matrix(f, total, total)
+        off = 0
+        for m in mods:
+            for r in range(m.dim):
+                for c in range(m.dim):
+                    M[off + r][off + c] = m.mats[i][r][c]
+            off += m.dim
+        mats.append(M)
+    return AlgebraModule(A, total, mats)
+
+
+class SectionBimodule:
+    """L_x: sections supported on arrows out of x, as a bimodule.
+
+    Left action of Gamma_c, right action of B_x; validated on basis
+    triples.  Basis labels are (arrow gamma with src gamma = x, stalk
+    index at dst gamma).
+    """
+
+    def __init__(self, conv: ConvAlgebra, x, B: FDAlgebra):
+        G = conv.groupoid
+        O = conv.sheaf
+        f = conv.field
+        self.conv = conv
+        self.x = x
+        self.B = B
+        self.arrows = G.arrows_from(x)
+        self.labels = [(g, i) for g in self.arrows
+                       for i in range(O.stalk[G.dst[g]].dim)]
+        self.index = {lab: k for k, lab in enumerate(self.labels)}
+        self.dim = len(self.labels)
+        # left action of Gamma_c basis (zeta, i)
+        left = []
+        for (zeta, i) in conv.algebra.labels:
+            M = linalg.zero_matrix(f, self.dim, self.dim)
+            for (g, j) in self.labels:
+                if G.src[zeta] != G.dst[g]:
+                    continue
+                stalk = O.stalk[G.dst[zeta]]
+                moved = O.apply(zeta, _basis_vec(f, O.stalk[G.dst[g]].dim, j))
+                prod = stalk.mul(_basis_vec(f, stalk.dim, i), moved)
+                tgt = G.compose[zeta, g]
+                col = self.index[g, j]
+                for k, c in enumerate(prod):
+                    if c != 0:
+                        M[self.index[tgt, k]][col] = c
+            left.append(M)
+        self.left = AlgebraModule(conv.algebra, self.dim, left)
+        # right action of B_x basis (i', delta): v . b
+        right = []
+        for (i2, delta) in B.labels:
+            M = linalg.zero_matrix(f, self.dim, self.dim)
+            for (g, j) in self.labels:
+                stalk = O.stalk[G.dst[g]]
+                moved = O.apply(g, _basis_vec(f, O.stalk[x].dim, i2))
+                prod = stalk.mul(_basis_vec(f, stalk.dim, j), moved)
+                tgt = G.compose[g, delta]
+                col = self.index[g, j]
+                for k, c in enumerate(prod):
+                    if c != 0:
+                        M[self.index[tgt, k]][col] = c
+            right.append(M)
+        self.right_mats = right
+
+    def right_action_matrix(self, bvec):
+        return linalg.combine_matrices(self.conv.field, bvec, self.right_mats,
+                                       self.dim)
+
+    def validate(self) -> list[str]:
+        f = self.conv.field
+        bad = self.left.validate()
+        B = self.B
+        # right module axioms: rho(b b') = rho(b') after rho(b) in matrix
+        # terms means N_{bb'} = N_{b'} @ ... acting on column vectors we
+        # need N_b N_{b'} applied right-to-left: (v.b).b' = N_{b'} N_b v.
+        for i in range(B.dim):
+            for j in range(B.dim):
+                lhs = self.right_action_matrix(list(B.table[i][j]))
+                rhs = linalg.mat_mul(f, self.right_mats[j], self.right_mats[i])
+                if not linalg.mat_eq(lhs, rhs):
+                    bad.append(f"right action fails on ({B.labels[i]},{B.labels[j]})")
+        if not linalg.mat_eq(self.right_action_matrix(list(B.unit)),
+                             linalg.identity_matrix(f, self.dim)):
+            bad.append("B unit does not act as identity on the right")
+        # bimodule compatibility on basis triples
+        for Mf in self.left.mats:
+            for Nb in self.right_mats:
+                if not linalg.mat_eq(linalg.mat_mul(f, Nb, Mf),
+                                     linalg.mat_mul(f, Mf, Nb)):
+                    bad.append("left and right actions do not commute")
+                    return bad
+        return bad
+
+
+def freeness_isomorphisms(L: SectionBimodule, T: Transversal):
+    """(Phi, Psi): mutually inverse right-B_x-maps between L_x and the
+    free module with basis 1_{eta_y}, y in the orbit.
+
+    Free-module basis labels are (y, B-basis label); returns the pair of
+    matrices and raises if they fail to be inverse or right-linear.
+    """
+    conv, B, x = L.conv, L.B, L.x
+    G, O, f = conv.groupoid, conv.sheaf, conv.field
+    free_labels = [(y, lab) for y in T.orbit for lab in B.labels]
+    fidx = {lab: k for k, lab in enumerate(free_labels)}
+    n = len(free_labels)
+    if n != L.dim:
+        raise CheckFailure("free module and L_x have different dimensions")
+    Phi = linalg.zero_matrix(f, n, L.dim)
+    for (g, i) in L.labels:
+        y = G.dst[g]
+        eta_inv = G.inverse[T.eta[y]]
+        a = O.apply(eta_inv, _basis_vec(f, O.stalk[y].dim, i))
+        delta = G.compose[eta_inv, g]
+        col = L.index[g, i]
+        for k, c in enumerate(a):
+            if c != 0:
+                Phi[fidx[y, (k, delta)]][col] = c
+    Psi = linalg.zero_matrix(f, L.dim, n)
+    for (y, (j, delta)) in free_labels:
+        b = O.apply(T.eta[y], _basis_vec(f, O.stalk[x].dim, j))
+        tgt = G.compose[T.eta[y], delta]
+        col = fidx[y, (j, delta)]
+        for k, c in enumerate(b):
+            if c != 0:
+                Psi[L.index[tgt, k]][col] = c
+    eye_n = linalg.identity_matrix(f, n)
+    if not linalg.mat_eq(linalg.mat_mul(f, Phi, Psi), eye_n):
+        raise CheckFailure("Phi o Psi is not the identity")
+    if not linalg.mat_eq(linalg.mat_mul(f, Psi, Phi),
+                         linalg.identity_matrix(f, L.dim)):
+        raise CheckFailure("Psi o Phi is not the identity")
+    # right B-linearity of Phi: Phi(v.b) = Phi(v).b, free side acting blockwise
+    for bi in range(B.dim):
+        Nb = L.right_mats[bi]
+        free_b = linalg.zero_matrix(f, n, n)
+        for (y, lab) in free_labels:
+            src_col = fidx[y, lab]
+            prod = B.mul(B.basis_vector(B.label_index[lab]),
+                         B.basis_vector(bi))
+            for k, c in enumerate(prod):
+                if c != 0:
+                    free_b[fidx[y, B.labels[k]]][src_col] = c
+        lhs = linalg.mat_mul(f, Phi, Nb)
+        rhs = linalg.mat_mul(f, free_b, Phi)
+        if not linalg.mat_eq(lhs, rhs):
+            raise CheckFailure("Phi is not right B-linear")
+    return Phi, Psi

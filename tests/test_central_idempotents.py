@@ -1,4 +1,4 @@
-"""Pierce atoms and stalk indecomposability come from the certified
+"""Pierce atoms come from the certified
 exactalg.central_primitive_idempotents; here they are checked against an
 exhaustive scan of the centre, kept only as the reference."""
 
@@ -13,9 +13,8 @@ from gsheaf.exactalg import (FDAlgebra, Subspace, group_algebra,
                              matrix_algebra)
 from gsheaf.fields import GF, QQ
 from gsheaf.fixtures import (_diag_f2_squared, catalog_names, cyclic_mul,
-                             get_fixture, s3_group, t1_groupoid, trivial_isg)
+                             get_fixture, s3_group, trivial_isg)
 from gsheaf.isgring import SpectralRingAction, pierce_atoms, pierce_verification
-from gsheaf.sheaf import constant_sheaf, is_sheaf_of_indecomposables
 
 
 def scan_central_idempotents(A):
@@ -124,14 +123,6 @@ def test_pierce_atoms_match_the_centre_scan(algebras):
         assert pierce_atoms(A) == scan_atoms(A), repr(A)
 
 
-def test_indecomposables_match_the_centre_scan(algebras):
-    for A in algebras:
-        O = constant_sheaf(t1_groupoid(1), A)
-        assert is_sheaf_of_indecomposables(O) == (len(scan_atoms(A)) == 1)
-    split = constant_sheaf(t1_groupoid(2), _diag_f2_squared())
-    assert not is_sheaf_of_indecomposables(split)
-
-
 @pytest.mark.parametrize("p, n", [(2, 13), (3, 8)])
 def test_former_order_cap_skips_now_pass(p, n):
     # the centre has p^n elements, beyond the old order cap of 4096
@@ -143,12 +134,8 @@ def test_former_order_cap_skips_now_pass(p, n):
 def test_rationals_decide_only_a_one_dimensional_centre():
     M = matrix_algebra(QQ, 2)
     assert pierce_atoms(M) == [list(M.unit)]
-    assert is_sheaf_of_indecomposables(constant_sheaf(t1_groupoid(1), M))
     with pytest.raises(CapExceeded, match="finite base field"):
         pierce_atoms(diagonal_algebra(QQ, 2))
-    with pytest.raises(CapExceeded, match="finite base field"):
-        is_sheaf_of_indecomposables(
-            constant_sheaf(t1_groupoid(1), diagonal_algebra(QQ, 2)))
 
 
 def test_non_unital_algebra_is_rejected():

@@ -10,10 +10,11 @@ from gsheaf import exactalg, schemas
 from gsheaf.cli import main
 from gsheaf.convalg import build_conv_algebra
 from gsheaf.fields import GF
-from gsheaf.fixtures import (cyclic_mul, dual_numbers, galois_sheaf,
-                             group_groupoid, pair_groupoid, partial_swap_action,
-                             scalar_algebra, swap_action, swap_ring_action,
-                             t1_groupoid, trivial_z2_action, z2_isg)
+from gsheaf.fixtures import (_diag_f2_squared, cyclic_mul, dual_numbers,
+                             galois_sheaf, group_groupoid, pair_groupoid,
+                             partial_swap_action, scalar_algebra, swap_action,
+                             swap_ring_action, t1_groupoid, trivial_z2_action,
+                             z2_isg)
 from gsheaf.induction import isotropy_ring
 from gsheaf.sheaf import constant_sheaf
 
@@ -429,6 +430,26 @@ def test_non_list_ring_action_domain_exits_2(tmp_path, capsys):
     code, out = run_cli(capsys, ["verify", "pierce", p])
     assert code == 2
     assert out["kind"] == "input_error"
+
+
+def test_partial_ring_action_is_an_input_error(tmp_path, capsys):
+    # Z2 on GF(2) x GF(2) with D_g the first factor and alpha_g the
+    # identity: alpha_g o alpha_g is defined on D_g only, not on all of
+    # D_1 = D_{gg}, so this is a partial action, not a homomorphism
+    doc = {
+        "kind": "ring_action",
+        "semigroup": schemas.inverse_semigroup_to_doc(z2_isg()),
+        "algebra": schemas.algebra_to_doc(_diag_f2_squared()),
+        "domains": {"1": [[1, 0], [0, 1]], "g": [[1, 0]]},
+        "alpha": {"1": [[1, 0], [0, 1]], "g": [[1, 0], [0, 1]]},
+    }
+    p = write(tmp_path, "partial_ring.json", doc)
+    for argv in (["validate", p], ["verify", "pierce", p]):
+        code, out = run_cli(capsys, argv)
+        assert code == 2, argv
+        assert out["kind"] == "input_error"
+        assert "alpha[g] o alpha[g] is not defined exactly on D_1" \
+            in out["error"]
 
 
 def test_unknown_subcommand_usage_error():

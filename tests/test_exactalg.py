@@ -16,8 +16,7 @@ from gsheaf import exactalg, linalg
 from gsheaf.convalg import build_conv_algebra
 from gsheaf.errors import AlgebraError, CapExceeded, CheckFailure
 from gsheaf.exactalg import (AlgebraModule, FDAlgebra, Subspace, annihilator,
-                             centralizer, check_ring_iso, direct_sum_modules,
-                             enumerate_subspaces, enumerate_two_sided_ideals,
+                             centralizer, check_ring_iso, enumerate_subspaces, enumerate_two_sided_ideals,
                              find_unit, group_algebra, hom_space,
                              ideal_generated, is_ideal, is_simple,
                              is_submodule, is_von_neumann_regular,
@@ -35,7 +34,8 @@ from gsheaf.fixtures import (catalog_names, cyclic_mul, disjoint_union,
                              s3_group, scalar_algebra, t1_groupoid)
 from gsheaf.sheaf import (GSheafOfAlgebras, constant_sheaf, diagonal_vnr,
                           validate_sheaf)
-from oracles import scan_simplicity_witness, scan_two_sided_ideals, vnr_scan
+from oracles import (direct_sum_modules, scan_simplicity_witness,
+                     scan_two_sided_ideals, vnr_scan)
 
 
 def table_algebra(p, elements):

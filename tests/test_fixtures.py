@@ -123,8 +123,10 @@ def test_each_fixture_builds_its_skew_ring_once(monkeypatch):
     # the expectations read the battery's reports instead of rebuilding,
     # SIRI reuses the battery's convolution algebra, and each memoized
     # invariant runs its body once per algebra (and seed); the radical
-    # also runs on each stalk object, once, for the vnr checks, and
-    # rechecks only the quotients by a nonzero radical
+    # also runs on each stalk object, once, for the vnr checks, and its
+    # recheck of A/J runs the uncertified search, uncounted here.  The
+    # germ groupoid is built for the space actions and Pierce
+    # realizations, and once for each partial crossed product
     calls, args = {}, {}
 
     def count(module, name):
@@ -140,7 +142,7 @@ def test_each_fixture_builds_its_skew_ring_once(monkeypatch):
                 monkeypatch.setattr(mod, name, wrapper)
 
     for name in ("skew_isg_ring", "siri_data", "pierce_data", "pierce_atoms",
-                 "dual_ring_action", "transformation_groupoid"):
+                 "dual_ring_action", "germ_groupoid"):
         count(isgring, name)
     for name in ("validate_algebra", "_two_sided_ideals",
                  "_density_certificate", "_radical", "_central_idempotents"):
@@ -150,17 +152,17 @@ def test_each_fixture_builds_its_skew_ring_once(monkeypatch):
     run_catalog(seed=0)
     assert calls == {"skew_isg_ring": 26, "siri_data": 20, "pierce_data": 3,
                      "pierce_atoms": 3, "dual_ring_action": 3,
-                     "transformation_groupoid": 3,
+                     "germ_groupoid": 26,
                      "build_conv_algebra": 26, "validate_algebra": 110,
                      "_two_sided_ideals": 15, "_density_certificate": 18,
-                     "_centralizer_of_diagonal": 17, "_radical": 43,
+                     "_centralizer_of_diagonal": 17, "_radical": 34,
                      "_central_idempotents": 18}
     # the wrappers keep every argument alive, so ids are not reused
     for name in ("_two_sided_ideals", "_density_certificate",
                  "_centralizer_of_diagonal", "_central_idempotents"):
         seen = [id(a[0]) for a in args[name]]
         assert len(set(seen)) == len(seen), name
-    seen = [(id(A), recheck) for A, recheck in args["_radical"]]
+    seen = [id(a[0]) for a in args["_radical"]]
     assert len(set(seen)) == len(seen)
 
 

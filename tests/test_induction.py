@@ -2,18 +2,18 @@
 
 import pytest
 
-from gsheaf import exactalg
+from gsheaf import exactalg, linalg
 from gsheaf.convalg import build_conv_algebra
 from gsheaf.errors import InputError
 from gsheaf.fields import GF
 from gsheaf.fixtures import (cyclic_mul, galois_sheaf, group_groupoid,
                              pair_groupoid, scalar_algebra, t1_groupoid,
                              z2_bundle_over_p2)
-from gsheaf.induction import (SectionBimodule, Transversal,
-                              annihilator_induced, check_disintegration,
-                              freeness_isomorphisms, induce, isotropy_ring,
+from gsheaf.induction import (Transversal, annihilator_induced,
+                              check_disintegration, induce, isotropy_ring,
                               module_stalks, verify_effros_hahn)
 from gsheaf.sheaf import constant_sheaf
+from oracles import SectionBimodule, freeness_isomorphisms
 
 
 def conv_of(G, p=2):
@@ -92,6 +92,40 @@ def test_freeness_for_every_transversal():
         assert len(Phi) == L.dim and len(Psi) == L.dim
     # free rank = number of orbit units: dim L = |orbit| * dim B
     assert L.dim == 2 * B.dim
+
+
+def test_freeness_isomorphisms_give_the_induced_action():
+    # Ind_x(S) is L_x (x)_B S, so a section f sends 1_{eta_y} (x) s to the
+    # sum over z of 1_{eta_z} (x) b_z s, where b_z is the z-component of
+    # Phi(f . Psi(1_{eta_y})); that is block (z, y) of induce's action
+    z2p2 = conv_of(z2_bundle_over_p2())
+    cases = [(galois_conv(), "x", None),
+             (z2p2, "u1", {"u1": "u1", "u2": "a21"}),
+             (z2p2, "u1", {"u1": "u1", "u2": "b21"}),
+             (conv_of(pair_groupoid(2), 3), "u1", None)]
+    for conv, x, eta in cases:
+        f = conv.field
+        T = Transversal(conv, x, eta) if eta else Transversal.canonical(conv, x)
+        B = isotropy_ring(conv, x)
+        L = SectionBimodule(conv, x, B)
+        Phi, Psi = freeness_isomorphisms(L, T)
+        blocks = range(len(T.orbit))
+        simples = exactalg.meataxe_simple_quotients(exactalg.regular_module(B))
+        assert simples
+        for S in simples:
+            ind = induce(conv, x, S, T)
+            d = S.dim
+            for k in range(conv.dim):
+                for y in blocks:
+                    gen = [f.zero] * (len(T.orbit) * B.dim)
+                    gen[y * B.dim:(y + 1) * B.dim] = list(B.unit)
+                    image = linalg.mat_vec(f, Phi, linalg.mat_vec(
+                        f, L.left.mats[k], linalg.mat_vec(f, Psi, gen)))
+                    for z in blocks:
+                        b = image[z * B.dim:(z + 1) * B.dim]
+                        block = [row[y * d:(y + 1) * d]
+                                 for row in ind.mats[k][z * d:(z + 1) * d]]
+                        assert S.action_matrix(b) == block, (x, eta, k, y, z)
 
 
 def test_induce_galois_regular():

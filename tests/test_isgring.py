@@ -27,15 +27,15 @@ from gsheaf.isgring import (FiniteInverseSemigroup, PartialGroupAction,
                             check_orbit_correspondence, check_simpleaction,
                             dual_ring_action, germ_groupoid,
                             group_as_inverse_semigroup, is_minimal_action,
-                            is_topologically_free, natural_order_violations,
-                            pierce_atoms, pierce_data, pierce_verification,
-                            siri_data, skew_isg_ring,
+                            is_topologically_free, pierce_atoms, pierce_data,
+                            pierce_verification, siri_data, skew_isg_ring,
                             symmetric_inverse_monoid, transformation_groupoid,
-                            validate_inverse_semigroup, validate_ring_action,
+                            validate_inverse_semigroup,
+                            validate_partial_group_action, validate_ring_action,
                             validate_space_action, verify_partial_crossed,
                             verify_siri)
 from gsheaf.sheaf import constant_sheaf
-from oracles import scan_inverse_semigroup
+from oracles import natural_order_violations, scan_inverse_semigroup
 
 
 # ---------------------------------------------------------------------------
@@ -73,10 +73,10 @@ def test_natural_order_laws():
 
 
 def test_group_detection():
-    assert z2_isg().is_group()
-    assert z2_isg().group_unit() == "1"
+    # an inverse semigroup with one idempotent is a group, with that unit
+    assert z2_isg().idempotents() == ["1"]
     S, _ = symmetric_inverse_monoid(["1", "2"])
-    assert not S.is_group()
+    assert len(S.idempotents()) > 1
 
 
 def test_invalid_semigroup_rejected():
@@ -345,7 +345,7 @@ def test_ring_action_rejects_a_composite_that_escapes_its_domain():
     act = SpectralRingAction(S, A, {"a": full, "b": full, "z": zero},
                              {x: one for x in "abz"}, validate=False)
     assert validate_ring_action(act) == [
-        "composite domain of (a,b) escapes D_z"]
+        "alpha[a] o alpha[b] is not defined exactly on D_z"]
 
 
 def test_ring_action_rejects_a_composite_that_disagrees():
@@ -590,6 +590,36 @@ def test_partial_action_validation():
             {"1": frozenset(["a", "b"]), "g": frozenset(["a"])},
             {"1": {"a": "a", "b": "b"}, "g": {"b": "a", "a": "a"}})
 
+    # the group axioms are the inverse semigroup axioms of the group, then
+    # come the space-action rules; X_1 = X is asked last
+    def check(mul, domain, theta):
+        return validate_partial_group_action(PartialGroupAction(
+            ["1", "g"], mul, "1", ["a", "b"], domain, theta, validate=False))
+
+    z2 = cyclic_mul(["1", "g"])
+    ident = {"a": "a", "b": "b"}
+    full = frozenset(["a", "b"])
+    assert check({**z2, ("1", "g"): "zz"}, {"1": full, "g": full},
+                 {"1": ident, "g": ident}) == [
+        "product undefined or out of range at (1,g)"]
+    assert check(z2, {"1": full, "g": frozenset()},
+                 {"1": {"a": "b", "b": "a"}, "g": {}}) == ["theta[1] moves a"]
+    assert check(z2, {"1": frozenset(["a"]), "g": frozenset()},
+                 {"1": {"a": "a"}, "g": {}}) == ["X_1 is not the whole space"]
+
+
+def test_partial_action_is_a_space_action_but_for_one_inclusion():
+    # read as a space action of its group, the partial swap fails only
+    # the reverse inclusion: theta_1 is larger than theta_g o theta_g
+    for act, bad in ((global_swap_action(), []),
+                     (trivial_partial_action(), []),
+                     (partial_swap_action(), [
+                         "theta[1] is defined at c, where theta[g] o "
+                         "theta[g] is not"])):
+        space = SpaceAction(group_as_inverse_semigroup(act), act.points,
+                            act.domain, act.theta, validate=False)
+        assert validate_space_action(space) == bad
+
 
 def test_transformation_groupoid_of_partial_swap():
     G = transformation_groupoid(partial_swap_action())
@@ -597,6 +627,10 @@ def test_transformation_groupoid_of_partial_swap():
     assert len(G.units) == 3
     assert len(G.arrows) == 5            # three identities, g@a, g@b
     assert sorted(len(o) for o in orbits(G)) == [1, 2]
+    # the germs [g, x]: source x, range theta_g(x)
+    assert G.arrows == ("a", "b", "c", "g@a", "g@b")
+    assert (G.src["g@a"], G.dst["g@a"]) == ("a", "b")
+    assert G.compose["g@b", "g@a"] == "a"
 
 
 def test_transformation_groupoid_of_global_swap():
@@ -608,16 +642,23 @@ def test_transformation_groupoid_of_global_swap():
 
 def test_group_as_inverse_semigroup():
     S = group_as_inverse_semigroup(partial_swap_action())
-    assert S.is_group()
+    assert len(S.idempotents()) == 1
     assert validate_inverse_semigroup(S) == []
 
 
-def test_dial_ring_action_domains():
-    act = partial_swap_action()
-    ring_act = dual_ring_action(act, QQ)
-    assert validate_ring_action(ring_act) == []
+def test_dual_ring_action_domains():
+    # the partial swap's dual is a partial action: alpha_g o alpha_g is
+    # the identity on D_g only, and alpha_1 is defined on everything
+    ring_act = dual_ring_action(partial_swap_action(), QQ)
+    assert validate_ring_action(ring_act) == [
+        "alpha[g] o alpha[g] is not defined exactly on D_1"]
     assert ring_act.domain["1"].dim == 3
     assert ring_act.domain["g"].dim == 2
+    ring_act = dual_ring_action(global_swap_action(), QQ)
+    assert validate_ring_action(ring_act) == []
+    assert ring_act.domain["1"].dim == ring_act.domain["g"].dim == 2
+    assert validate_ring_action(
+        dual_ring_action(trivial_partial_action(), GF(3))) == []
 
 
 def test_partial_crossed_product_dims():
@@ -649,6 +690,28 @@ def test_global_crossed_product_is_matrix_ring():
     skew = skew_isg_ring(dual_ring_action(act, QQ))
     assert skew.quotient.dim == 4
     assert not skew.quotient.is_commutative()
+
+
+def test_partial_crossed_over_a_group_of_order_three():
+    # g is not its own inverse, so the slice of g, germs [g, x] with x in
+    # X_{g^-1}, differs from the pairs (g, x) with x in X_g
+    z3, pts = ["1", "g", "h"], ["a", "b", "c"]
+    ident = {x: x for x in pts}
+    rotation = PartialGroupAction(
+        z3, cyclic_mul(z3), "1", pts, {s: frozenset(pts) for s in z3},
+        {"1": ident, "g": {"a": "b", "b": "c", "c": "a"},
+         "h": {"b": "a", "c": "b", "a": "c"}})
+    partial = PartialGroupAction(
+        z3, cyclic_mul(z3), "1", pts,
+        {"1": frozenset(pts), "g": frozenset("b"), "h": frozenset("a")},
+        {"1": ident, "g": {"a": "b"}, "h": {"b": "a"}})
+    assert transformation_groupoid(partial).arrows == (
+        "a", "b", "c", "g@a", "h@b")
+    for act, dim in ((rotation, 9), (partial, 5)):
+        for field in (QQ, GF(2)):
+            rep = verify_partial_crossed(act, field)
+            assert rep.passed is True, rep.to_json()
+            assert rep.lhs == {"dim skew ring": dim}
 
 
 def test_partial_crossed_over_prime_fields():

@@ -116,17 +116,16 @@ def test_returned_answers_are_copies():
 
 
 def test_the_radical_is_remembered_whatever_the_seed(monkeypatch):
-    rechecks = []
-    real = exactalg._radical
-    monkeypatch.setattr(exactalg, "_radical",
-                        lambda A, recheck: rechecks.append(recheck)
-                        or real(A, recheck))
+    searched = []
+    real = exactalg._radical_search
+    monkeypatch.setattr(exactalg, "_radical_search",
+                        lambda A: searched.append(A.dim) or real(A))
     A = dual_numbers()
     J = jacobson_radical(A, 0)
     assert jacobson_radical(A, 0) == J == jacobson_radical(A, 1)
-    # the quotient A/J is a fresh algebra, checked without a recheck; the
+    # one search on A and one, uncertified, on the fresh quotient A/J; the
     # seed changes no answer, so a second seed computes nothing
-    assert rechecks == [True, False]
+    assert searched == [2, 1]
 
 
 def test_each_centre_is_computed_once(monkeypatch):

@@ -12,8 +12,7 @@ from gsheaf.fixtures import (_diag_f2_squared, cyclic_mul, dual_numbers,
                              pair_groupoid, scalar_algebra, t1_groupoid)
 from gsheaf.sheaf import (GSheafOfAlgebras, constant_sheaf, diagonal_vnr,
                           int_ker_is_units, is_field_algebra,
-                          is_sheaf_of_fields, is_sheaf_of_indecomposables,
-                          ker_sheaf, require_valid_sheaf, stalks_commutative,
+                          is_sheaf_of_fields, ker_sheaf, require_valid_sheaf, stalks_commutative,
                           validate_sheaf)
 
 
@@ -148,16 +147,6 @@ def test_diagonal_vnr_witness():
     G, O = galois_sheaf()
     flag, wit = diagonal_vnr(O)
     assert flag and wit is None
-
-
-def test_indecomposable_stalks():
-    G, O = galois_sheaf()
-    assert is_sheaf_of_indecomposables(O)
-    split = constant_sheaf(t1_groupoid(1), _diag_f2_squared())
-    assert not is_sheaf_of_indecomposables(split)
-    # dual numbers: local ring, indecomposable despite the radical
-    dual = constant_sheaf(t1_groupoid(1), dual_numbers())
-    assert is_sheaf_of_indecomposables(dual)
 
 
 def test_stalks_commutative():
