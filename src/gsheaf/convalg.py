@@ -73,19 +73,11 @@ class ConvAlgebra:
         return v
 
     def diagonal_subspace(self) -> Subspace:
-        """Sections supported on identity arrows."""
-        vecs = []
-        for u in self.groupoid.units:
-            e = self.groupoid.unit_arrow(u)
-            for i in range(self.sheaf.stalk[u].dim):
-                vecs.append(self.point_mass(e, self._unit_vec(u, i)))
-        return Subspace.from_vectors(self.field, self.dim, vecs)
-
-    def _unit_vec(self, u, i):
-        d = self.sheaf.stalk[u].dim
-        v = linalg.zero_vector(self.field, d)
-        v[i] = self.field.one
-        return v
+        """Sections supported on identity arrows; their point masses, in
+        basis order, are an echelon basis as they stand."""
+        A, G = self.algebra, self.groupoid
+        on = [k for k, (a, _) in enumerate(A.labels) if G.is_unit_arrow(a)]
+        return Subspace(A.field, A.dim, [A.basis_vector(k) for k in on], on)
 
 
 def build_conv_algebra(G: FiniteGroupoid, O: GSheafOfAlgebras,
@@ -125,13 +117,8 @@ def _build(O: GSheafOfAlgebras, G: FiniteGroupoid, validate: bool) -> ConvAlgebr
         for (rho, j) in labels:
             v = linalg.zero_vector(f, dim)
             if G.composable(beta, rho):
-                src_stalk = O.stalk[G.dst[rho]]
-                ej = linalg.zero_vector(f, src_stalk.dim)
-                ej[j] = f.one
-                moved = O.apply(beta, ej)
-                ei = linalg.zero_vector(f, stalk_b.dim)
-                ei[i] = f.one
-                prod = stalk_b.mul(ei, moved)
+                moved = O.apply(beta, O.stalk[G.dst[rho]].basis_vector(j))
+                prod = stalk_b.mul(stalk_b.basis_vector(i), moved)
                 target = G.compose[beta, rho]
                 for k, c in enumerate(prod):
                     if c != 0:
@@ -272,8 +259,9 @@ def _centralizer_of_diagonal(conv: ConvAlgebra) -> Subspace:
         vecs = []
         for a in G.arrows:
             if a in ker:
-                for i in range(conv.sheaf.stalk[G.dst[a]].dim):
-                    vecs.append(conv.point_mass(a, conv._unit_vec(G.dst[a], i)))
+                stalk = conv.sheaf.stalk[G.dst[a]]
+                for i in range(stalk.dim):
+                    vecs.append(conv.point_mass(a, stalk.basis_vector(i)))
         span = Subspace.from_vectors(conv.field, conv.dim, vecs)
         if span != C:
             raise CheckFailure("diagonal centralizer is not the span of "

@@ -1220,18 +1220,14 @@ def subalgebra_on(A: FDAlgebra, S: Subspace, labels=None) -> FDAlgebra:
 
     Picks up a two-sided identity inside S when one exists.
     """
-    f = A.field
-    prods = {}
-    for i, u in enumerate(S.basis):
-        for j, v in enumerate(S.basis):
-            w = A.mul(list(u), list(v))
-            if not S.contains(w):
-                raise AlgebraError("subspace is not multiplicatively closed")
-            prods[i, j] = S.coords_of(w)
+    basis = [list(b) for b in S.basis]
+    try:
+        table = [[S.coords_of(A.mul(u, v)) for v in basis] for u in basis]
+    except AlgebraError:
+        raise AlgebraError("subspace is not multiplicatively closed") from None
     if labels is None:
         labels = [f"s{i}" for i in range(S.dim)]
-    table = [[prods[i, j] for j in range(S.dim)] for i in range(S.dim)]
-    B = FDAlgebra(f, labels, table)
+    B = FDAlgebra(A.field, labels, table)
     unit = find_unit(B)
     if unit is not None:
         B.unit = tuple(unit)

@@ -169,31 +169,6 @@ def is_minimal(G: FiniteGroupoid) -> bool:
     return len(orbits(G)) == 1
 
 
-def isotropy_group(G: FiniteGroupoid, x):
-    """(elements, mul, inv, identity) of the isotropy group at x, verified."""
-    elems = G.isotropy_arrows(x)
-    e = G.unit_arrow(x)
-    mul = {}
-    for a in elems:
-        for b in elems:
-            c = G.compose.get((a, b))
-            if c is None or c not in set(elems):
-                raise InputError(f"isotropy at {x} is not closed under composition")
-            mul[a, b] = c
-    for a in elems:
-        if mul[e, a] != a or mul[a, e] != a:
-            raise InputError(f"isotropy at {x} has no identity")
-        inv = G.inverse[a]
-        if inv not in set(elems) or mul[a, inv] != e or mul[inv, a] != e:
-            raise InputError(f"isotropy at {x} has no inverses")
-    for a in elems:
-        for b in elems:
-            for c in elems:
-                if mul[mul[a, b], c] != mul[a, mul[b, c]]:
-                    raise InputError(f"isotropy at {x} is not associative")
-    return elems, mul, {a: G.inverse[a] for a in elems}, e
-
-
 def is_effective(G: FiniteGroupoid) -> bool:
     """All isotropy trivial.  With the discrete topology the interior of
     the isotropy bundle is the bundle itself, so effectiveness collapses

@@ -1,12 +1,15 @@
 """Induction from isotropy and disintegration of modules.
 
-For a unit x, B_x is the skew group ring of the isotropy group at x over
-the stalk at x: (a delta)(b eps) = a alpha_delta(b) (delta eps).  The
-space L_x of sections supported on arrows out of x is a
-(Gamma_c, B_x)-bimodule, free as a right B_x-module with one generator
-1_{eta_y} per orbit unit y along any transversal eta.  Inducing a left
-B_x-module M up gives L_x (x) M, written out directly (the tests build
-L_x and its freeness maps as the reference):
+For a unit x, B_x is the corner 1_x Gamma_c 1_x of the sections on the
+isotropy arrows at x, read off Gamma_c's certified table: the skew group
+ring of the isotropy group at x over the stalk at x, (a delta)(b eps) =
+a alpha_delta(b) (delta eps), with basis labels (stalk index, isotropy
+arrow) in Gamma_c's arrow-major order.  The space L_x of sections
+supported on arrows out of x is a (Gamma_c, B_x)-bimodule, free as a
+right B_x-module with one generator 1_{eta_y} per orbit unit y along any
+transversal eta.  Inducing a left B_x-module M up gives L_x (x) M,
+written out directly (the tests build L_x and its freeness maps as the
+reference):
 
     Ind_x(M) = sum over y in Orb(x) of a copy of M,
     f . (y, m) has component at z:
@@ -19,8 +22,8 @@ compared against the direct annihilator every time.
 
 Disintegration: e_x = chi_{x} are orthogonal idempotents summing to 1,
 every module M splits as the sum of its stalks M_x = e_x M, arrows act
-by beta_gamma = (chi_{gamma} . -), and the original action is recovered
-from the stalks.
+by beta_gamma = (chi_{gamma} . -), B_x acts on M_x through the action
+matrices of M, and the original action is recovered from the stalks.
 """
 
 from __future__ import annotations
@@ -29,53 +32,24 @@ from . import exactalg, linalg
 from .convalg import ConvAlgebra
 from .errors import CapExceeded, CheckFailure, InputError
 from .exactalg import AlgebraModule, FDAlgebra, Subspace
-from .groupoid import orbit_of, isotropy_group
+from .groupoid import orbit_of
 from .reports import Report
 
 
 def isotropy_ring(conv: ConvAlgebra, x) -> FDAlgebra:
-    """B_x: skew group ring of the isotropy group over the stalk at x.
+    """B_x: the corner 1_x Gamma 1_x of the sections supported on the
+    isotropy arrows at x, read off Gamma's certified table.
 
-    Basis labels are (stalk index, isotropy arrow).
+    Basis labels are (stalk index, isotropy arrow), in Gamma's
+    arrow-major order.
     """
-    G = conv.groupoid
-    O = conv.sheaf
-    stalk = O.stalk[x]
-    f = conv.field
-    elems, mul, _, _ = isotropy_group(G, x)
-    labels = [(i, d) for i in range(stalk.dim) for d in elems]
-    idx = {lab: k for k, lab in enumerate(labels)}
-    dim = len(labels)
-    table = []
-    for (i, d) in labels:
-        row = []
-        for (j, e) in labels:
-            ej = linalg.zero_vector(f, stalk.dim)
-            ej[j] = f.one
-            prod = stalk.mul(_basis_vec(f, stalk.dim, i), O.apply(d, ej))
-            v = linalg.zero_vector(f, dim)
-            target = mul[d, e]
-            for k, c in enumerate(prod):
-                if c != 0:
-                    v[idx[k, target]] = c
-            row.append(v)
-        table.append(row)
-    unit = linalg.zero_vector(f, dim)
-    e0 = G.unit_arrow(x)
-    for k, c in enumerate(stalk.unit):
-        if c != 0:
-            unit[idx[k, e0]] = c
-    B = FDAlgebra(f, labels, table, unit)
-    bad = exactalg.validate_algebra(B)
-    if bad:
-        raise CheckFailure("isotropy ring fails algebra axioms: " + bad[0])
-    return B
-
-
-def _basis_vec(field, n, i):
-    v = linalg.zero_vector(field, n)
-    v[i] = field.one
-    return v
+    A = conv.algebra
+    loops = set(conv.groupoid.isotropy_arrows(x))
+    # the point masses on the loops at x, in basis order: an echelon basis
+    on = [k for k, (a, _) in enumerate(A.labels) if a in loops]
+    corner = Subspace(A.field, A.dim, [A.basis_vector(k) for k in on], on)
+    return exactalg.subalgebra_on(
+        A, corner, [(i, a) for (a, i) in A.labels if a in loops])
 
 
 class Transversal:
@@ -116,7 +90,7 @@ def _displaced(conv: ConvAlgebra, T: Transversal, B: FDAlgebra, zeta, i):
     G, O, f = conv.groupoid, conv.sheaf, conv.field
     y, z = G.src[zeta], G.dst[zeta]
     eta_z_inv = G.inverse[T.eta[z]]
-    b = O.apply(eta_z_inv, _basis_vec(f, O.stalk[z].dim, i))
+    b = O.apply(eta_z_inv, O.stalk[z].basis_vector(i))
     delta = G.compose[G.compose[eta_z_inv, zeta], T.eta[y]]
     bvec = linalg.zero_vector(f, B.dim)
     for k, c in enumerate(b):
@@ -220,7 +194,6 @@ class ModuleStalks:
         self.module = M
         self.chi_action = {a: M.action_matrix(conv.chi([a])) for a in G.arrows}
         self.stalk_space: dict = {}
-        self.proj: dict = {}
         for u in G.units:
             P = self.chi_action[G.unit_arrow(u)]
             img = Subspace.from_vectors(f, M.dim, linalg.transpose(P))
@@ -262,12 +235,10 @@ class ModuleStalks:
         """The stalk at x as a module over the isotropy ring B_x:
         (a delta) . m = a . beta_delta(m)."""
         conv, f = self.conv, self.conv.field
-        G = conv.groupoid
         sp = self.stalk_space[x]
         mats = []
         for (i, delta) in B.labels:
-            sec = conv.point_mass(delta, _basis_vec(f, conv.sheaf.stalk[x].dim, i))
-            P = self.module.action_matrix(sec)
+            P = self.module.mats[conv.index[delta, i]]
             rows = []
             for v in sp.basis:
                 rows.append(sp.coords_of(linalg.mat_vec(f, P, list(v))))

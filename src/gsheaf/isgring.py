@@ -301,7 +301,7 @@ class SkewRing:
         self.N = Subspace.from_vectors(f, dim, gens)
         # quotient_algebra checks that N is an ideal
         try:
-            self.quotient, self.proj = exactalg.quotient_algebra(L, self.N)
+            self.quotient, _ = exactalg.quotient_algebra(L, self.N)
         except AlgebraError:
             raise CheckFailure("relation span is not a two-sided ideal") from None
         _, self.lift = exactalg.quotient_coords(f, self.N)
@@ -386,7 +386,8 @@ class SpaceAction:
     """Inverse semigroup acting on a finite set by partial bijections.
 
     domain[s] is X_s, the range of theta_s; theta[s] maps X_{s*} onto
-    X_s.  The discrete topology makes every subset clopen.
+    X_s.  The discrete topology makes every subset clopen.  The action
+    must not change after its first use: its germ groupoid is kept on it.
     """
 
     def __init__(self, S: FiniteInverseSemigroup, points, domain: dict,
@@ -495,10 +496,15 @@ class GermData:
 
 def germ_groupoid(act: SpaceAction) -> GermData:
     """Arrows are germs [s,x]; verified equivalence and well-definedness.
+    Built once per action.
 
     Identity germs (classes containing an idempotent pair) are labeled by
     their point; other classes by "s@x" with s the least representative.
     """
+    return exactalg.memoized(act, "germ groupoid", _germ_groupoid)
+
+
+def _germ_groupoid(act: SpaceAction) -> GermData:
     S = act.semigroup
     X = act.points
     covered = set()
@@ -670,40 +676,6 @@ def check_simpleaction(act: SpaceAction, O: GSheafOfAlgebras | None = None,
 # the convolution algebra as a skew ring of its bisection action
 
 
-def _diagonal_algebra(conv: ConvAlgebra):
-    """(A, embed) with A the direct sum of the stalks and embed the
-    matrix placing A inside the convolution algebra on identity arrows."""
-    G, O, f = conv.groupoid, conv.sheaf, conv.field
-    labels = []
-    for u in G.units:
-        labels.extend((u, i) for i in range(O.stalk[u].dim))
-    idx = {lab: i for i, lab in enumerate(labels)}
-    dim = len(labels)
-    table = []
-    for (u, i) in labels:
-        row = []
-        for (v, j) in labels:
-            out = linalg.zero_vector(f, dim)
-            if u == v:
-                stalk = O.stalk[u]
-                prod = stalk.mul(stalk.basis_vector(i), stalk.basis_vector(j))
-                for k, c in enumerate(prod):
-                    if c != 0:
-                        out[idx[u, k]] = c
-            row.append(out)
-        table.append(row)
-    unit = linalg.zero_vector(f, dim)
-    for u in G.units:
-        for k, c in enumerate(O.stalk[u].unit):
-            if c != 0:
-                unit[idx[u, k]] = c
-    A = FDAlgebra(f, labels, table, unit)
-    embed = linalg.zero_matrix(f, conv.dim, dim)
-    for (u, i) in labels:
-        embed[conv.index[G.unit_arrow(u), i]][idx[u, i]] = f.one
-    return A, embed
-
-
 def bisection_ring_action(conv: ConvAlgebra, bisections):
     """Spectral action of a wide semigroup of bisections, the (semigroup,
     members) pair of bisection_semigroup, on the diagonal: D_U = sections
@@ -712,7 +684,12 @@ def bisection_ring_action(conv: ConvAlgebra, bisections):
     action is not validated again; SIRI certifies what it builds."""
     G, O, f = conv.groupoid, conv.sheaf, conv.field
     Ga, member = bisections
-    A, embed = _diagonal_algebra(conv)
+    # the diagonal read off Gamma's table; identity arrows carry their
+    # unit's id, so its labels are (unit, stalk index)
+    D = conv.diagonal_subspace()
+    A = exactalg.subalgebra_on(conv.algebra, D,
+                               [conv.algebra.labels[k] for k in D.pivots])
+    embed = linalg.transpose(D.basis)
     idx = A.label_index
     domain, alpha = {}, {}
     for lab in Ga.elements:

@@ -8,13 +8,15 @@ to enumerate.  The reference constructions at the bottom build, the long
 way, objects that the package reaches by a shorter route.
 """
 
-from gsheaf import linalg
+from gsheaf import exactalg, linalg
 from gsheaf.convalg import ConvAlgebra
-from gsheaf.errors import AlgebraError, CapExceeded, CheckFailure
+from gsheaf.errors import (AlgebraError, CapExceeded, CheckFailure,
+                           InputError)
 from gsheaf.exactalg import (AlgebraModule, FDAlgebra, Subspace,
                              _join_closure, ideal_generated,
                              projective_points)
-from gsheaf.induction import Transversal, _basis_vec
+from gsheaf.groupoid import FiniteGroupoid
+from gsheaf.induction import Transversal
 from gsheaf.isgring import FiniteInverseSemigroup
 
 VNR_ORDER_CAP = 2**16
@@ -139,6 +141,69 @@ def direct_sum_modules(mods) -> AlgebraModule:
     return AlgebraModule(A, total, mats)
 
 
+def isotropy_group(G: FiniteGroupoid, x):
+    """(elements, mul, inv, identity) of the isotropy group at x, verified."""
+    elems = G.isotropy_arrows(x)
+    e = G.unit_arrow(x)
+    mul = {}
+    for a in elems:
+        for b in elems:
+            c = G.compose.get((a, b))
+            if c is None or c not in set(elems):
+                raise InputError(f"isotropy at {x} is not closed under composition")
+            mul[a, b] = c
+    for a in elems:
+        if mul[e, a] != a or mul[a, e] != a:
+            raise InputError(f"isotropy at {x} has no identity")
+        inv = G.inverse[a]
+        if inv not in set(elems) or mul[a, inv] != e or mul[inv, a] != e:
+            raise InputError(f"isotropy at {x} has no inverses")
+    for a in elems:
+        for b in elems:
+            for c in elems:
+                if mul[mul[a, b], c] != mul[a, mul[b, c]]:
+                    raise InputError(f"isotropy at {x} is not associative")
+    return elems, mul, {a: G.inverse[a] for a in elems}, e
+
+
+def isotropy_skew_ring(conv: ConvAlgebra, x) -> FDAlgebra:
+    """B_x the long way: the skew group ring of the isotropy group at x
+    over the stalk at x, (a delta)(b eps) = a alpha_delta(b) (delta eps),
+    validated.  Basis labels are (stalk index, isotropy arrow) in
+    stalk-major order."""
+    G = conv.groupoid
+    O = conv.sheaf
+    stalk = O.stalk[x]
+    f = conv.field
+    elems, mul, _, _ = isotropy_group(G, x)
+    labels = [(i, d) for i in range(stalk.dim) for d in elems]
+    idx = {lab: k for k, lab in enumerate(labels)}
+    dim = len(labels)
+    table = []
+    for (i, d) in labels:
+        row = []
+        for (j, e) in labels:
+            prod = stalk.mul(stalk.basis_vector(i),
+                             O.apply(d, stalk.basis_vector(j)))
+            v = linalg.zero_vector(f, dim)
+            target = mul[d, e]
+            for k, c in enumerate(prod):
+                if c != 0:
+                    v[idx[k, target]] = c
+            row.append(v)
+        table.append(row)
+    unit = linalg.zero_vector(f, dim)
+    e0 = G.unit_arrow(x)
+    for k, c in enumerate(stalk.unit):
+        if c != 0:
+            unit[idx[k, e0]] = c
+    B = FDAlgebra(f, labels, table, unit)
+    bad = exactalg.validate_algebra(B)
+    if bad:
+        raise CheckFailure("isotropy ring fails algebra axioms: " + bad[0])
+    return B
+
+
 class SectionBimodule:
     """L_x: sections supported on arrows out of x, as a bimodule.
 
@@ -167,8 +232,8 @@ class SectionBimodule:
                 if G.src[zeta] != G.dst[g]:
                     continue
                 stalk = O.stalk[G.dst[zeta]]
-                moved = O.apply(zeta, _basis_vec(f, O.stalk[G.dst[g]].dim, j))
-                prod = stalk.mul(_basis_vec(f, stalk.dim, i), moved)
+                moved = O.apply(zeta, O.stalk[G.dst[g]].basis_vector(j))
+                prod = stalk.mul(stalk.basis_vector(i), moved)
                 tgt = G.compose[zeta, g]
                 col = self.index[g, j]
                 for k, c in enumerate(prod):
@@ -182,8 +247,8 @@ class SectionBimodule:
             M = linalg.zero_matrix(f, self.dim, self.dim)
             for (g, j) in self.labels:
                 stalk = O.stalk[G.dst[g]]
-                moved = O.apply(g, _basis_vec(f, O.stalk[x].dim, i2))
-                prod = stalk.mul(_basis_vec(f, stalk.dim, j), moved)
+                moved = O.apply(g, O.stalk[x].basis_vector(i2))
+                prod = stalk.mul(stalk.basis_vector(j), moved)
                 tgt = G.compose[g, delta]
                 col = self.index[g, j]
                 for k, c in enumerate(prod):
@@ -240,7 +305,7 @@ def freeness_isomorphisms(L: SectionBimodule, T: Transversal):
     for (g, i) in L.labels:
         y = G.dst[g]
         eta_inv = G.inverse[T.eta[y]]
-        a = O.apply(eta_inv, _basis_vec(f, O.stalk[y].dim, i))
+        a = O.apply(eta_inv, O.stalk[y].basis_vector(i))
         delta = G.compose[eta_inv, g]
         col = L.index[g, i]
         for k, c in enumerate(a):
@@ -248,7 +313,7 @@ def freeness_isomorphisms(L: SectionBimodule, T: Transversal):
                 Phi[fidx[y, (k, delta)]][col] = c
     Psi = linalg.zero_matrix(f, L.dim, n)
     for (y, (j, delta)) in free_labels:
-        b = O.apply(T.eta[y], _basis_vec(f, O.stalk[x].dim, j))
+        b = O.apply(T.eta[y], O.stalk[x].basis_vector(j))
         tgt = G.compose[T.eta[y], delta]
         col = fidx[y, (j, delta)]
         for k, c in enumerate(b):

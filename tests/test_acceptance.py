@@ -16,9 +16,7 @@ from gsheaf import exactalg, linalg
 from gsheaf.convalg import (build_conv_algebra, centralizer_of_diagonal,
                             check_bisection_convolution,
                             check_convolution_table, check_masa_criterion,
-                            check_primitivity, check_semiprimitivity,
-                            check_simplelife, check_uniqueness_theorem,
-                            is_diagonal_masa)
+                            check_uniqueness_theorem, is_diagonal_masa)
 from gsheaf.errors import CapExceeded
 from gsheaf.fields import GF, QQ
 from gsheaf.fixtures import (catalog_names, get_fixture, frobenius_matrix,
@@ -28,7 +26,7 @@ from gsheaf.fixtures import (catalog_names, get_fixture, frobenius_matrix,
 from gsheaf.groupoid import is_effective, is_minimal
 from gsheaf.induction import (Transversal, annihilator_induced,
                               check_disintegration, induce, isotropy_ring,
-                              module_stalks, verify_effros_hahn)
+                              verify_effros_hahn)
 from gsheaf.isgring import (check_cinza, check_orbit_correspondence,
                             check_simpleaction, dual_ring_action,
                             pierce_data, pierce_verification, siri_data,

@@ -2,8 +2,6 @@
 
 import itertools
 
-import pytest
-
 from gsheaf import exactalg
 from gsheaf.convalg import (build_conv_algebra, centralizer_of_diagonal,
                             check_bisection_convolution, check_masa_criterion,
@@ -11,7 +9,6 @@ from gsheaf.convalg import (build_conv_algebra, centralizer_of_diagonal,
                             check_convolution_table, check_simplelife,
                             check_uniqueness_theorem, convolution_eval,
                             is_diagonal_masa)
-from gsheaf.errors import CheckFailure
 from gsheaf.fields import GF, QQ
 from gsheaf.fixtures import (cyclic_mul, dual_numbers, galois_sheaf,
                              group_groupoid, pair_groupoid, scalar_algebra,

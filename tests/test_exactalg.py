@@ -872,6 +872,11 @@ def test_subalgebra_on_corner():
     corner = Subspace.from_vectors(GF(2), 4, [e00])
     B = subalgebra_on(A, corner)
     assert B.dim == 1 and B.unit is not None
+    # e12 e21 = e11 leaves the span of the off-diagonal units
+    off = Subspace.from_vectors(GF(2), 4, [
+        A.basis_vector(A.label_index[lab]) for lab in ("e12", "e21")])
+    with pytest.raises(AlgebraError, match="not multiplicatively closed"):
+        subalgebra_on(A, off)
 
 
 def test_find_unit():

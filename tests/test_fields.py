@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gsheaf.errors import CapExceeded, InputError
+from gsheaf.errors import InputError
 from gsheaf.exactalg import Subspace
 from gsheaf.fields import DEFAULT_PRIME_CAP, GF, QQ, Field, is_prime
 

@@ -125,8 +125,8 @@ def test_each_fixture_builds_its_skew_ring_once(monkeypatch):
     # invariant runs its body once per algebra (and seed); the radical
     # also runs on each stalk object, once, for the vnr checks, and its
     # recheck of A/J runs the uncertified search, uncounted here.  The
-    # germ groupoid is built for the space actions and Pierce
-    # realizations, and once for each partial crossed product
+    # germ groupoid is built once per action: for the space actions, the
+    # Pierce realizations and the partial crossed products
     calls, args = {}, {}
 
     def count(module, name):
@@ -142,7 +142,7 @@ def test_each_fixture_builds_its_skew_ring_once(monkeypatch):
                 monkeypatch.setattr(mod, name, wrapper)
 
     for name in ("skew_isg_ring", "siri_data", "pierce_data", "pierce_atoms",
-                 "dual_ring_action", "germ_groupoid"):
+                 "dual_ring_action", "_germ_groupoid"):
         count(isgring, name)
     for name in ("validate_algebra", "_two_sided_ideals",
                  "_density_certificate", "_radical", "_central_idempotents"):
@@ -152,8 +152,8 @@ def test_each_fixture_builds_its_skew_ring_once(monkeypatch):
     run_catalog(seed=0)
     assert calls == {"skew_isg_ring": 26, "siri_data": 20, "pierce_data": 3,
                      "pierce_atoms": 3, "dual_ring_action": 3,
-                     "germ_groupoid": 26,
-                     "build_conv_algebra": 26, "validate_algebra": 110,
+                     "_germ_groupoid": 10,
+                     "build_conv_algebra": 26, "validate_algebra": 82,
                      "_two_sided_ideals": 15, "_density_certificate": 18,
                      "_centralizer_of_diagonal": 17, "_radical": 34,
                      "_central_idempotents": 18}

@@ -11,9 +11,9 @@ from gsheaf.fixtures import (cyclic_mul, disjoint_union, group_groupoid,
 from gsheaf.groupoid import (ARROW_CAP, FiniteGroupoid, bisection_product,
                              bisection_semigroup, bisection_star,
                              is_bisection, is_effective, is_minimal,
-                             isotropy_group, orbit_of, orbits,
-                             validate_groupoid)
+                             orbit_of, orbits, validate_groupoid)
 from gsheaf.isgring import validate_inverse_semigroup
+from oracles import isotropy_group
 
 
 def test_t1_groupoid_shape():

@@ -1,5 +1,6 @@
-"""Every name a gsheaf module imports is read somewhere in that module,
-and every top-level definition is read somewhere in the package."""
+"""Every name a gsheaf module or test file imports is read somewhere in
+that file, and every top-level definition is read somewhere in the
+package."""
 
 import ast
 import pathlib
@@ -8,6 +9,7 @@ import re
 import gsheaf
 
 SRC = pathlib.Path(gsheaf.__file__).parent
+TESTS = pathlib.Path(__file__).resolve().parent
 
 
 def unused_imports(source: str) -> list[str]:
@@ -35,17 +37,19 @@ def test_scanner_finds_an_unused_import():
 
 
 def test_no_unused_imports_in_src():
-    modules = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
-    assert modules
-    found = {p.name: unused_imports(p.read_text(encoding="utf-8"))
-             for p in modules}
+    """The package modules and the test files."""
+    modules = sorted(p for p in [*SRC.glob("*.py"), *TESTS.glob("*.py")]
+                     if p.name != "__init__.py")
+    assert any(p.parent == TESTS for p in modules)
+    found = {f"{p.parent.name}/{p.name}": unused_imports(
+        p.read_text(encoding="utf-8")) for p in modules}
     assert {k: v for k, v in found.items() if v} == {}
 
 
 # ---------------------------------------------------------------------------
 # every top-level definition has a reader
 
-PERFBENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
+PERFBENCH = TESTS.parent / "perfbench"
 # kept without a reader in the package: the *_to_doc serializers, which
 # mirror their loaders, and two algebra builders for callers of the package
 KEPT = {"matrix_algebra", "group_algebra"}

@@ -6,14 +6,15 @@ from gsheaf import exactalg, linalg
 from gsheaf.convalg import build_conv_algebra
 from gsheaf.errors import InputError
 from gsheaf.fields import GF
-from gsheaf.fixtures import (cyclic_mul, galois_sheaf, group_groupoid,
-                             pair_groupoid, scalar_algebra, t1_groupoid,
-                             z2_bundle_over_p2)
+from gsheaf.fixtures import (catalog_names, cyclic_mul, galois_sheaf,
+                             get_fixture, group_groupoid, pair_groupoid,
+                             scalar_algebra, t1_groupoid, z2_bundle_over_p2)
 from gsheaf.induction import (Transversal, annihilator_induced,
                               check_disintegration, induce, isotropy_ring,
                               module_stalks, verify_effros_hahn)
 from gsheaf.sheaf import constant_sheaf
-from oracles import SectionBimodule, freeness_isomorphisms
+from oracles import (SectionBimodule, freeness_isomorphisms,
+                     isotropy_skew_ring)
 
 
 def conv_of(G, p=2):
@@ -53,6 +54,26 @@ def test_isotropy_ring_principal_is_stalk():
     B = isotropy_ring(conv, "u1")
     assert B.dim == 1
     assert exactalg.is_simple(B)
+
+
+def test_isotropy_ring_is_the_skew_group_ring():
+    # the corner of Gamma's table against the skew group ring built from
+    # the stalk products and the transition maps, label for label
+    units = 0
+    for name in catalog_names():
+        if get_fixture(name).kind != "sheaf":
+            continue
+        G, O = get_fixture(name).build()
+        conv = build_conv_algebra(G, O)
+        f = conv.field
+        for x in G.units:
+            ref, B = isotropy_skew_ring(conv, x), isotropy_ring(conv, x)
+            iso = linalg.zero_matrix(f, B.dim, ref.dim)
+            for k, lab in enumerate(ref.labels):
+                iso[B.label_index[lab]][k] = f.one
+            assert exactalg.check_ring_iso(ref, B, iso), (name, x)
+            units += 1
+    assert units == 33
 
 
 def test_transversal_validation():
