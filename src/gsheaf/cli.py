@@ -151,7 +151,7 @@ def cmd_check(args) -> int:
 def cmd_ideals(args) -> int:
     G, O = _load_sheaf(args.file)
     conv = build_conv_algebra(G, O)
-    ideals = exactalg.enumerate_two_sided_ideals(conv.algebra)
+    ideals = convalg.two_sided_ideals(conv)
     f = conv.field
     _print({
         "algebra_dim": conv.dim,
@@ -166,7 +166,7 @@ def cmd_ideals(args) -> int:
 def cmd_radical(args) -> int:
     G, O = _load_sheaf(args.file)
     conv = build_conv_algebra(G, O)
-    J = exactalg.jacobson_radical(conv.algebra)
+    J = convalg.jacobson_radical(conv)
     f = conv.field
     _print({
         "algebra_dim": conv.dim,

@@ -18,7 +18,7 @@ import weakref
 from . import exactalg, linalg, sheaf as sheafmod
 from .errors import CapExceeded, CheckFailure
 from .exactalg import FDAlgebra, Subspace
-from .groupoid import FiniteGroupoid, is_minimal
+from .groupoid import FiniteGroupoid, is_minimal, orbits
 from .reports import Report
 from .sheaf import GSheafOfAlgebras
 
@@ -222,6 +222,144 @@ def check_bisection_convolution(conv: ConvAlgebra) -> Report:
 
 
 # ---------------------------------------------------------------------------
+# the orbit corner
+
+
+def isotropy_corner(conv: ConvAlgebra, units) -> tuple[Subspace, FDAlgebra]:
+    """The span of the point masses on the isotropy arrows at the given
+    units, and its algebra structure read off Gamma's certified table.
+
+    The point masses, in basis order, are an echelon basis as they stand.
+    The algebra's labels are (stalk index, isotropy arrow), in Gamma's
+    arrow-major order.  With no arrow between two of the units, the span
+    is the corner e Gamma e for e the sum of their 1_x.
+    """
+    A, G = conv.algebra, conv.groupoid
+    loops = {a for x in units for a in G.isotropy_arrows(x)}
+    on = [k for k, (a, _) in enumerate(A.labels) if a in loops]
+    S = Subspace(A.field, A.dim, [A.basis_vector(k) for k in on], on)
+    return S, exactalg.subalgebra_on(A, S, [A.labels[k][::-1] for k in on])
+
+
+class OrbitCorner:
+    """The corner e Gamma_c e for e = sum of 1_x over the given units x.
+
+    With one unit per orbit, an arrow between two of them is a loop, so
+    the corner is the sum of the isotropy rings B_x (isotropy_corner).
+    The corner must be full, Gamma e Gamma = Gamma, certified by one
+    ideal generation; then I -> eIe is a lattice isomorphism from the
+    ideals of Gamma onto those of the corner, with inverse
+    K -> Gamma K Gamma, and the corner is Morita equivalent to Gamma
+    (Clark-Sims 2015).  The methods take Gamma's algebra and certify
+    each answer; the corner holds no reference to Gamma, so a memo of it
+    on the convolution algebra makes no reference cycle.
+    """
+
+    def __init__(self, conv: ConvAlgebra, units):
+        A, G = conv.algebra, conv.groupoid
+        self.e = conv.chi([G.unit_arrow(x) for x in units])
+        if not exactalg.ideal_generated(A, [self.e], "two",
+                                        stop_at_full=True).is_full():
+            raise CheckFailure("the orbit corner is not full: "
+                               "Gamma e Gamma != Gamma")
+        self.space, self.algebra = isotropy_corner(conv, units)
+
+    def lift(self, A: FDAlgebra, K: Subspace) -> Subspace:
+        """Gamma K Gamma for a subspace K of the corner."""
+        gens = []
+        for v in K.basis:
+            w = linalg.zero_vector(A.field, A.dim)
+            for k, c in zip(self.space.pivots, v):
+                w[k] = c
+            gens.append(w)
+        return exactalg.ideal_generated(A, gens, "two")
+
+    def cut(self, A: FDAlgebra, I: Subspace) -> Subspace:
+        """eIe in the corner's coordinates."""
+        e = self.e
+        return Subspace.from_vectors(A.field, self.algebra.dim, [
+            self.space.coords_of(A.mul(A.mul(e, list(v)), e)) for v in I.basis])
+
+    def ideals(self, A: FDAlgebra) -> list[Subspace]:
+        """The ideals Gamma K Gamma over the ideals K of the corner, sorted
+        by (dim, basis).  Each must cut back to its K, so the lifts are
+        distinct, and every ideal I of Gamma is the lift of eIe."""
+        corner_ideals = exactalg.enumerate_two_sided_ideals(self.algebra)
+        lifts = {}
+        for K in corner_ideals:
+            I = self.lift(A, K)
+            if self.cut(A, I) != K:
+                raise CheckFailure("a corner ideal K has e (Gamma K Gamma) e != K")
+            lifts.setdefault(I.basis, I)
+        if len(lifts) != len(corner_ideals):
+            raise CheckFailure("two corner ideals lift to the same ideal")
+        return sorted(lifts.values(), key=Subspace.sort_key)
+
+    def is_simple(self, A: FDAlgebra) -> bool:
+        """Gamma is simple iff its full corner is: on two orbits the units
+        are central idempotents of the corner, so one orbit is needed."""
+        return exactalg.is_simple(self.algebra)
+
+    def radical(self, A: FDAlgebra) -> Subspace:
+        """J = Gamma J(eGe) Gamma, with J(eGe) certified by
+        exactalg.jacobson_radical.  J must be nilpotent, so J lies in
+        J(Gamma), and eJe must be J(eGe); then Gamma/J has the full
+        semisimple corner eGe/J(eGe), so Gamma/J is semisimple and J
+        contains J(Gamma)."""
+        JB = exactalg.jacobson_radical(self.algebra)
+        J = self.lift(A, JB)
+        if self.cut(A, J) != JB:
+            raise CheckFailure("e J e is not the radical of the corner")
+        if not exactalg.is_nilpotent(A, J):
+            raise CheckFailure("the lifted corner radical is not nilpotent")
+        return J
+
+
+def orbit_corner(conv: ConvAlgebra) -> OrbitCorner | None:
+    """The orbit corner over the first unit of each orbit, built once per
+    convolution algebra; None when the whole algebra answers instead.
+    That is over the rationals, whose corner questions are not decided
+    yet, and when the corner is all of Gamma: a group algebra is its own
+    corner."""
+    return exactalg.memoized(conv, "orbit corner", _orbit_corner)
+
+
+def _orbit_corner(conv: ConvAlgebra) -> OrbitCorner | None:
+    G = conv.groupoid
+    if not conv.field.is_finite:
+        return None
+    units = [orbit[0] for orbit in orbits(G)]
+    dim = sum(len(G.isotropy_arrows(x)) * conv.sheaf.stalk[x].dim for x in units)
+    return OrbitCorner(conv, units) if dim < conv.dim else None
+
+
+def two_sided_ideals(conv: ConvAlgebra) -> list[Subspace]:
+    """exactalg.enumerate_two_sided_ideals of Gamma, answered on its orbit
+    corner when there is one and remembered as the algebra's own answer."""
+    corner = orbit_corner(conv)
+    if corner is None:
+        return exactalg.enumerate_two_sided_ideals(conv.algebra)
+    return list(exactalg.memoized(conv.algebra, "ideals", corner.ideals))
+
+
+def is_simple(conv: ConvAlgebra) -> bool:
+    """exactalg.is_simple of Gamma, through its orbit corner as above."""
+    corner = orbit_corner(conv)
+    if corner is None:
+        return exactalg.is_simple(conv.algebra)
+    return exactalg.memoized(conv.algebra, "simple", corner.is_simple)
+
+
+def jacobson_radical(conv: ConvAlgebra) -> Subspace:
+    """exactalg.jacobson_radical of Gamma, through its orbit corner as
+    above."""
+    corner = orbit_corner(conv)
+    if corner is None:
+        return exactalg.jacobson_radical(conv.algebra)
+    return exactalg.memoized(conv.algebra, "radical", corner.radical)
+
+
+# ---------------------------------------------------------------------------
 # centralizer of the diagonal
 
 
@@ -299,7 +437,7 @@ def check_uniqueness_theorem(conv: ConvAlgebra) -> Report:
     diagonal's centralizer.
     """
     try:
-        ideals = exactalg.enumerate_two_sided_ideals(conv.algebra)
+        ideals = two_sided_ideals(conv)
     except CapExceeded as exc:
         return Report(check="uniqueness", hypotheses={}, passed=None, caps_hit=[str(exc)])
     C = centralizer_of_diagonal(conv)
@@ -363,7 +501,7 @@ def check_simplelife(G: FiniteGroupoid, O: GSheafOfAlgebras,
                                    reduced to the unit space.
     """
     def decide(conv):
-        simple = exactalg.is_simple(conv.algebra)
+        simple = is_simple(conv)
         minimal = is_minimal(G)
         intker = sheafmod.int_ker_is_units(O)
         return dict(lhs={"simple": simple},
@@ -386,7 +524,7 @@ def check_primitivity(G: FiniteGroupoid, O: GSheafOfAlgebras,
     minimality.
     """
     def decide(conv):
-        simple = exactalg.is_simple(conv.algebra)
+        simple = is_simple(conv)
         minimal = is_minimal(G)
         return dict(lhs={"primitive (= simple)": simple},
                     rhs={"dense orbit (= minimal)": minimal},
@@ -404,7 +542,7 @@ def check_semiprimitivity(G: FiniteGroupoid, O: GSheafOfAlgebras,
 
     seed is accepted for compatibility and changes no answer."""
     def decide(conv):
-        J = exactalg.jacobson_radical(conv.algebra)
+        J = jacobson_radical(conv)
         return dict(lhs={"radical dim": J.dim}, rhs={"radical dim": 0},
                     passed=J.is_zero(),
                     witnesses={} if J.is_zero() else {

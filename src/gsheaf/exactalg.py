@@ -1090,22 +1090,25 @@ def _radical(A: FDAlgebra) -> Subspace:
     J = _radical_search(A)
     if not is_ideal(A, J, "two"):
         raise CheckFailure("radical candidate is not a two-sided ideal")
-    power = J
-    k = 1
-    while not power.is_zero():
-        if k > A.dim:
-            raise CheckFailure("radical candidate is not nilpotent")
-        nxt = []
-        for u in power.basis:
-            for v in J.basis:
-                nxt.append(A.mul(list(u), list(v)))
-        power = Subspace.from_vectors(A.field, A.dim, nxt)
-        k += 1
+    if not is_nilpotent(A, J):
+        raise CheckFailure("radical candidate is not nilpotent")
     if not J.is_zero() and not J.is_full():
         Q, _ = quotient_algebra(A, J)
         if not _radical_search(Q).is_zero():
             raise CheckFailure("A modulo its radical has nonzero radical")
     return J
+
+
+def is_nilpotent(A: FDAlgebra, J: Subspace) -> bool:
+    """Is J^k = 0 for some k?  The powers of a nilpotent J shrink
+    strictly, so J^(dim A + 1) = 0 decides it."""
+    power = J
+    for _ in range(A.dim):
+        if power.is_zero():
+            return True
+        power = Subspace.from_vectors(A.field, A.dim, [
+            A.mul(list(u), list(v)) for u in power.basis for v in J.basis])
+    return power.is_zero()
 
 
 def radical_bruteforce(A: FDAlgebra, order_cap: int = RADICAL_ORDER_CAP) -> Subspace:

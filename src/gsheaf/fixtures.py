@@ -778,15 +778,14 @@ def _sheaf_battery(built, seed: int):
     ]
     getters = {
         "dim": lambda: conv.dim,
-        "n_ideals": lambda: len(exactalg.enumerate_two_sided_ideals(
-            conv.algebra)),
-        "simple": lambda: exactalg.is_simple(conv.algebra),
+        "n_ideals": lambda: len(convalg.two_sided_ideals(conv)),
+        "simple": lambda: convalg.is_simple(conv),
         "minimal": lambda: is_minimal(G),
         "effective": lambda: is_effective(G),
         "int_ker": lambda: sheafmod.int_ker_is_units(O),
         "masa": lambda: convalg.is_diagonal_masa(conv),
         "vnr": lambda: sheafmod.diagonal_vnr(O)[0],
-        "radical_dim": lambda: exactalg.jacobson_radical(conv.algebra).dim,
+        "radical_dim": lambda: convalg.jacobson_radical(conv).dim,
         "fields": lambda: sheafmod.is_sheaf_of_fields(O),
         "n_bisections": lambda: len(bisection_semigroup(G)[0].elements),
         "siri_dims": _measured(siri, lambda r: tuple(r.lhs.values())),

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import itertools
 
-from . import exactalg, linalg
+from . import convalg, exactalg, linalg
 from .convalg import ConvAlgebra, build_conv_algebra
 from .errors import AlgebraError, CapExceeded, CheckFailure, InputError
 from .exactalg import FDAlgebra, Subspace
@@ -665,7 +665,7 @@ def check_simpleaction(act: SpaceAction, O: GSheafOfAlgebras | None = None,
         return skip_report("simpleaction", hyp)
     conv = build_conv_algebra(germ.groupoid, O)
     lhs = is_minimal_action(act)
-    rhs = exactalg.is_simple(conv.algebra)
+    rhs = convalg.is_simple(conv)
     return Report(check="simpleaction", hypotheses=hyp,
                   lhs={"action minimal": lhs},
                   rhs={"convolution algebra simple": rhs},

@@ -155,6 +155,24 @@ def test_ideals_and_cap(tmp_path, capsys):
     assert doc["error"].endswith("Peirce points, algebra has 137257")
 
 
+def test_ideals_and_radical_through_the_orbit_corner(tmp_path, capsys):
+    # P4 with GF(5)[Z5] stalks: dim 80, whose Peirce spaces hold 12 496
+    # points, over the ideal enumeration's budget; its orbit corner is
+    # GF(5)[Z5] = GF(5)[t]/(t^5), a chain of 6 ideals with radical (t)
+    labels = [f"z{i}" for i in range(5)]
+    mul = cyclic_mul(labels)
+    stalk = exactalg.group_algebra(GF(5), labels, lambda g, h: mul[g, h])
+    O = constant_sheaf(pair_groupoid(4), stalk)
+    path = write(tmp_path, "p4z5.json", schemas.sheaf_to_doc(O))
+    code, doc = run_cli(capsys, ["ideals", path])
+    assert code == 0
+    assert doc["algebra_dim"] == 80 and doc["count"] == 6
+    assert [I["dim"] for I in doc["ideals"]] == [0, 16, 32, 48, 64, 80]
+    code, doc = run_cli(capsys, ["radical", path])
+    assert code == 0
+    assert doc["radical_dim"] == 64
+
+
 def test_induce_command(tmp_path, capsys):
     gal = galois_doc(tmp_path)
     _, O = galois_sheaf()

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gsheaf import exactalg, linalg
+from gsheaf import convalg, exactalg, linalg
 from gsheaf.convalg import build_conv_algebra
 from gsheaf.errors import AlgebraError, CapExceeded, CheckFailure
 from gsheaf.exactalg import (AlgebraModule, FDAlgebra, Subspace, annihilator,
@@ -254,7 +254,10 @@ def input_key(x):
 def catalog_algebras():
     """The distinct finite-field algebras the fixture catalog hands to
     is_simple and to enumerate_two_sided_ideals, and the modules it hands
-    to module_simplicity_witness, by function name."""
+    to module_simplicity_witness, by function name.  A question asked
+    of a convolution algebra through convalg's orbit-corner entry points
+    is also asked of a bare copy, which the whole-algebra engine answers,
+    so these hold what the engine is asked without the corner too."""
     seen = {"is_simple": {}, "enumerate_two_sided_ideals": {},
             "module_simplicity_witness": {}}
     with pytest.MonkeyPatch.context() as mp:
@@ -265,6 +268,19 @@ def catalog_algebras():
                 return real(A, *args)
 
             mp.setattr(exactalg, name, recording)
+        for entry, whole in (("is_simple", "is_simple"),
+                             ("two_sided_ideals", "enumerate_two_sided_ideals"),
+                             ("jacobson_radical", "jacobson_radical")):
+            def asking_a_copy(conv, real=getattr(convalg, entry), whole=whole):
+                A = conv.algebra
+                try:
+                    getattr(exactalg, whole)(
+                        FDAlgebra(A.field, A.labels, A.table, A.unit))
+                except CapExceeded:
+                    pass
+                return real(conv)
+
+            mp.setattr(convalg, entry, asking_a_copy)
         run_catalog()
     return {name: list(store.values()) for name, store in seen.items()}
 
@@ -411,9 +427,14 @@ def dual_over(p):
 
 
 def lattice_shape(spec):
-    """The convolution algebra of '<groupoid>/<stalk>@p': groupoids P<n>
-    (pair), Z<n> (cyclic), S3 and T1 (a point), joined by '+'; stalk F
-    (the field) or D (dual numbers over it)."""
+    """The convolution algebra of '<groupoid>/<stalk>@p' (lattice_conv)."""
+    return lattice_conv(spec).algebra
+
+
+def lattice_conv(spec):
+    """Gamma of '<groupoid>/<stalk>@p': groupoids P<n> (pair), Z<n>
+    (cyclic), S3 and T1 (a point), joined by '+'; stalk F (the field) or
+    D (dual numbers over it)."""
     shape, p = spec.split("@")
     gspec, stalk = shape.split("/")
     parts = []
@@ -429,7 +450,7 @@ def lattice_shape(spec):
             parts.append(t1_groupoid(1))
     G = functools.reduce(disjoint_union, parts)
     A = scalar_algebra(GF(int(p))) if stalk == "F" else dual_over(int(p))
-    return build_conv_algebra(G, constant_sheaf(G, A)).algebra
+    return build_conv_algebra(G, constant_sheaf(G, A))
 
 
 # one instance per slot of the benchmark's lattice workload

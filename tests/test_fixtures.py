@@ -126,7 +126,10 @@ def test_each_fixture_builds_its_skew_ring_once(monkeypatch):
     # also runs on each stalk object, once, for the vnr checks, and its
     # recheck of A/J runs the uncertified search, uncounted here.  The
     # germ groupoid is built once per action: for the space actions, the
-    # Pierce realizations and the partial crossed products
+    # Pierce realizations and the partial crossed products.  Each
+    # convolution algebra asked for its ideals, simplicity or radical
+    # looks for its orbit corner once; where there is one (9 of the 20),
+    # the corner's invariants are computed instead of Gamma's, one for one
     calls, args = {}, {}
 
     def count(module, name):
@@ -149,6 +152,7 @@ def test_each_fixture_builds_its_skew_ring_once(monkeypatch):
         count(exactalg, name)
     count(convalg, "build_conv_algebra")
     count(convalg, "_centralizer_of_diagonal")
+    count(convalg, "_orbit_corner")
     run_catalog(seed=0)
     assert calls == {"skew_isg_ring": 26, "siri_data": 20, "pierce_data": 3,
                      "pierce_atoms": 3, "dual_ring_action": 3,
@@ -156,10 +160,11 @@ def test_each_fixture_builds_its_skew_ring_once(monkeypatch):
                      "build_conv_algebra": 26, "validate_algebra": 82,
                      "_two_sided_ideals": 15, "_density_certificate": 18,
                      "_centralizer_of_diagonal": 17, "_radical": 34,
-                     "_central_idempotents": 18}
+                     "_central_idempotents": 18, "_orbit_corner": 20}
     # the wrappers keep every argument alive, so ids are not reused
     for name in ("_two_sided_ideals", "_density_certificate",
-                 "_centralizer_of_diagonal", "_central_idempotents"):
+                 "_centralizer_of_diagonal", "_central_idempotents",
+                 "_orbit_corner"):
         seen = [id(a[0]) for a in args[name]]
         assert len(set(seen)) == len(seen), name
     seen = [id(a[0]) for a in args["_radical"]]

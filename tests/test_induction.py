@@ -4,11 +4,12 @@ import pytest
 
 from gsheaf import exactalg, linalg
 from gsheaf.convalg import build_conv_algebra
-from gsheaf.errors import InputError
+from gsheaf.errors import CapExceeded, InputError
 from gsheaf.fields import GF
 from gsheaf.fixtures import (catalog_names, cyclic_mul, galois_sheaf,
                              get_fixture, group_groupoid, pair_groupoid,
-                             scalar_algebra, t1_groupoid, z2_bundle_over_p2)
+                             run_fixture, scalar_algebra, t1_groupoid,
+                             z2_bundle_over_p2)
 from gsheaf.induction import (Transversal, annihilator_induced,
                               check_disintegration, induce, isotropy_ring,
                               module_stalks, verify_effros_hahn)
@@ -214,6 +215,31 @@ def test_effros_hahn_caps_on_large_algebras():
     assert rep.caps_hit == [
         f"ideal enumeration capped at {exactalg.IDEAL_POINT_BUDGET} "
         "Peirce points, algebra has 137257"]
+
+
+def test_effros_hahn_skips_on_a_cap_in_an_induced_module(monkeypatch):
+    # a cap on a module over Gamma, as an induced module, lands in the
+    # report that asked for it, and the fixture still gives every report
+    before = {r.check: r.to_json() for r in run_fixture("S3-F2")}
+    G, O = get_fixture("S3-F2").build()
+    labels = build_conv_algebra(G, O).algebra.labels
+    real = exactalg.module_simplicity_witness
+
+    def capped(M):
+        if M.algebra.labels == labels:
+            raise CapExceeded("capped for the test")
+        return real(M)
+
+    monkeypatch.setattr(exactalg, "module_simplicity_witness", capped)
+    after = {r.check: r.to_json() for r in run_fixture("S3-F2")}
+    assert list(after) == list(before)
+    assert before["effros-hahn"]["status"] == "pass"
+    assert after["effros-hahn"]["status"] == "skip"
+    # one cap per simple module of GF(2)[S3]: the trivial one and the plane
+    assert after["effros-hahn"]["caps_hit"] == ["capped for the test"] * 2
+    # the radical of Gamma, an expectation, skips on the same cap
+    assert {k for k in before if after[k] != before[k]} == {
+        "effros-hahn", "S3-F2:radical_dim"}
 
 
 def test_module_stalks_of_regular_module():
