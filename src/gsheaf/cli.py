@@ -129,6 +129,11 @@ def cmd_check(args) -> int:
 
     conv = build_conv_algebra(G, O)
     if what == "simple":
+        # the witness reads Gamma's memo: simplicity, and the radical when
+        # there is one block, are answered first on the orbit corner
+        if not convalg.is_simple(conv) and len(
+                exactalg.central_primitive_idempotents(conv.algebra)) == 1:
+            convalg.jacobson_radical(conv)
         wit = exactalg.simplicity_witness(conv.algebra)
         witnesses = {}
         if wit is not None:
@@ -230,11 +235,10 @@ def cmd_verify(args) -> int:
     if what == "disintegration":
         G, O = _load_sheaf(args.file)
         conv = build_conv_algebra(G, O)
+        M = None
         if args.module:
             mdoc = schemas.load_json(args.module)
             M = schemas.module_from_doc(mdoc, conv.algebra)
-        else:
-            M = exactalg.regular_module(conv.algebra)
         return _report_exit(induction.check_disintegration(conv, M))
     raise InputError(f"unknown verification {what}")
 

@@ -299,16 +299,21 @@ class AlgebraModule:
         """Module axioms: compatibility on basis pairs, unit acts as id.
 
         Row r of rho(b_i) rho(b_j) - sum_k t_ijk rho(b_k) is summed over
-        the nonzero action entries and structure constants only.
+        the nonzero action entries and structure constants only.  It is
+        zero unless row r of rho(b_i) or of some rho(b_k) with t_ijk != 0
+        is nonzero, so only those rows are walked.
         """
         A = self.algebra
         f = self.field
         rows = self.nonzero_rows()
         table = A.nonzero_table()
+        live = [{r for r, row in enumerate(R) if row} for R in rows]
         bad = []
         for i in range(A.dim):
             for j in range(A.dim):
-                for r in range(self.dim):
+                ts = table[i][j]
+                walk = live[i].union(*(live[k] for k, _ in ts)) if ts else live[i]
+                for r in walk:
                     diff = {}
                     for c, a in rows[i][r]:
                         for d, b in rows[j][c]:
@@ -811,13 +816,23 @@ def regular_module(A: FDAlgebra) -> AlgebraModule:
 
 
 def annihilator(M: AlgebraModule) -> Subspace:
-    """{a : a.M = 0}, verified to be a two-sided ideal."""
+    """{a : a.M = 0}, verified to be a two-sided ideal.
+
+    One equation per matrix entry (r, c): sum_i a_i rho(b_i)[r][c] = 0.
+    Entries that are zero in every rho(b_i) give no equation."""
     A = M.algebra
     f = A.field
+    equations: dict = {}
+    for i, R in enumerate(M.nonzero_rows()):
+        for r, row in enumerate(R):
+            for c, a in row:
+                equations.setdefault((r, c), {})[i] = a
     rows = []
-    for r in range(M.dim):
-        for c in range(M.dim):
-            rows.append([M.mats[i][r][c] for i in range(A.dim)])
+    for coeffs in equations.values():
+        eq = linalg.zero_vector(f, A.dim)
+        for i, a in coeffs.items():
+            eq[i] = a
+        rows.append(eq)
     if rows:
         ker = linalg.kernel_basis(f, rows, A.dim)
     else:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 
-from . import convalg, exactalg, induction, isgring, linalg, sheaf as sheafmod
+from . import convalg, induction, isgring, linalg, sheaf as sheafmod
 from .convalg import build_conv_algebra
 from .errors import CapExceeded, InputError
 from .exactalg import FDAlgebra, Subspace, scalar_algebra
@@ -773,8 +773,7 @@ def _sheaf_battery(built, seed: int):
         vnr_diagonal_report(O),
         induction.verify_effros_hahn(conv, seed),
         siri,
-        induction.check_disintegration(conv, exactalg.regular_module(
-            conv.algebra)),
+        induction.check_disintegration(conv),
     ]
     getters = {
         "dim": lambda: conv.dim,

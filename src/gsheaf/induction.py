@@ -179,12 +179,14 @@ class ModuleStalks:
 
     Realizes M_x as the image of the idempotent e_x = chi_{x} with its
     echelon basis; beta_gamma is left multiplication by chi_{gamma}, and
-    chi_action[gamma] its matrix on M.
+    chi_action[gamma] its matrix on M.  It keeps Gamma_c's groupoid and
+    label index but not the ConvAlgebra, so a memo of it on the
+    ConvAlgebra makes no reference cycle.
     """
 
     def __init__(self, conv: ConvAlgebra, M: AlgebraModule):
         G, f = conv.groupoid, conv.field
-        self.conv = conv
+        self.groupoid, self.field, self.index = G, f, conv.index
         self.module = M
         self.chi_action = {a: M.action_matrix(conv.chi([a])) for a in G.arrows}
         self.stalk_space: dict = {}
@@ -207,7 +209,7 @@ class ModuleStalks:
 
     def validate(self) -> list[str]:
         """beta is functorial and invertible; identities act trivially."""
-        G, f = self.conv.groupoid, self.conv.field
+        G, f = self.groupoid, self.field
         bad = []
         for u in G.units:
             e = G.unit_arrow(u)
@@ -228,11 +230,11 @@ class ModuleStalks:
     def b_x_module(self, x, B: FDAlgebra) -> AlgebraModule:
         """The stalk at x as a module over the isotropy ring B_x:
         (a delta) . m = a . beta_delta(m)."""
-        conv, f = self.conv, self.conv.field
+        f = self.field
         sp = self.stalk_space[x]
         mats = []
         for (i, delta) in B.labels:
-            P = self.module.mats[conv.index[delta, i]]
+            P = self.module.mats[self.index[delta, i]]
             rows = []
             for v in sp.basis:
                 rows.append(sp.coords_of(linalg.mat_vec(f, P, list(v))))
@@ -249,8 +251,7 @@ class ModuleStalks:
         The canonical map m |-> (e_x m)_x conjugates the original action
         onto (f . m)(z) = sum over zeta into z of f(zeta) beta_zeta(m(src)).
         """
-        conv, M, f = self.conv, self.module, self.conv.field
-        G = conv.groupoid
+        G, M, f, index = self.groupoid, self.module, self.field, self.index
         chi_action = self.chi_action
         units = list(G.units)
         offs, total = {}, 0
@@ -266,13 +267,13 @@ class ModuleStalks:
             sp = self.stalk_space[u]
             T.extend(linalg.transpose([sp.coords_of(col)
                                        for col in linalg.transpose(P)]))
-        for (zeta, i), mat in zip(conv.algebra.labels, M.mats):
+        for (zeta, i), mat in zip(M.algebra.labels, M.mats):
             y, z = G.src[zeta], G.dst[zeta]
             sp_y, sp_z = self.stalk_space[y], self.stalk_space[z]
             recon = linalg.zero_matrix(f, total, total)
             # stalk multiplication by the coefficient e_i after beta_zeta:
             # the action of the basis element (unit arrow at z, i)
-            mult = M.mats[conv.index[G.unit_arrow(z), i]]
+            mult = M.mats[index[G.unit_arrow(z), i]]
             for c in range(sp_y.dim):
                 v = list(sp_y.basis[c])
                 w = linalg.mat_vec(f, chi_action[zeta], v)
@@ -296,6 +297,16 @@ def module_stalks(conv: ConvAlgebra, M: AlgebraModule) -> ModuleStalks:
     return st
 
 
+def regular_stalks(conv: ConvAlgebra) -> ModuleStalks:
+    """module_stalks of Gamma_c's regular module, built and validated
+    once per convolution algebra."""
+    return exactalg.memoized(conv, "regular stalks", _regular_stalks)
+
+
+def _regular_stalks(conv: ConvAlgebra) -> ModuleStalks:
+    return module_stalks(conv, exactalg.regular_module(conv.algebra))
+
+
 # ---------------------------------------------------------------------------
 # the induced-annihilator structure theorem
 
@@ -308,11 +319,15 @@ def verify_effros_hahn(conv: ConvAlgebra, seed: int = 0) -> Report:
     (2) inducing any simple B_x-module yields a simple Gamma_c-module;
     (3) every maximal two-sided ideal is the annihilator of a module
         induced from a simple isotropy module.
-    The ideals come from convalg.two_sided_ideals.  In (1) the regular
-    module is disintegrated once, and (Gamma/I)_x is its stalk e_x Gamma
-    modulo e_x I, whose submodule test quotient_module makes.  The
-    orbit-sum annihilator criterion is consistency-checked inside every
-    annihilator_induced call.  A cap in (2) makes the report a skip.
+    The ideals come from convalg.two_sided_ideals.  In (1), (Gamma/I)_x
+    is the stalk e_x Gamma of the regular module (regular_stalks)
+    modulo e_x I, whose submodule test quotient_module makes.  Ideals
+    with the same e_x I share (Gamma/I)_x, so each distinct quotient at
+    each unit is induced once per call; a zero quotient (e_x I = e_x
+    Gamma) induces the zero module, whose annihilator Gamma leaves the
+    intersection as it is, and is skipped.  The orbit-sum annihilator
+    criterion is consistency-checked inside every annihilator_induced
+    call.  A cap in (2) makes the report a skip.
     seed is accepted for compatibility and changes no answer.
     """
     G = conv.groupoid
@@ -328,24 +343,28 @@ def verify_effros_hahn(conv: ConvAlgebra, seed: int = 0) -> Report:
 
     B_at = {x: isotropy_ring(conv, x) for x in G.units}
     transversals = {x: Transversal.canonical(conv, x) for x in G.units}
-    # (Gamma/I)_x = e_x Gamma / e_x I: the stalks of the regular module,
-    # disintegrated once, modulo the stalks of each ideal
-    stalks = module_stalks(conv, exactalg.regular_module(A))
+    # (Gamma/I)_x = e_x Gamma / e_x I: the stalks of the regular module
+    # modulo the stalks of each ideal, annihilated once per (x, e_x I)
+    stalks = regular_stalks(conv)
     R_at = {x: stalks.b_x_module(x, B_at[x]) for x in G.units}
+    induced_ann: dict = {}
 
     mismatched = 0
     for I in ideals:
-        if I.is_full():
-            continue  # the unit ideal induces only zero modules
         meet = Subspace.full(f, A.dim)
         for x in G.units:
             sp = stalks.stalk_space[x]
             e_x = stalks.chi_action[G.unit_arrow(x)]
             N = Subspace.from_vectors(f, sp.dim, [
                 sp.coords_of(linalg.mat_vec(f, e_x, list(v))) for v in I.basis])
-            Mx, _ = exactalg.quotient_module(R_at[x], N)
-            ann = annihilator_induced(conv, x, Mx, transversals[x])
-            meet = meet.intersect(ann)
+            if N.is_full():
+                continue
+            key = (x, N.basis)
+            if key not in induced_ann:
+                Mx, _ = exactalg.quotient_module(R_at[x], N)
+                induced_ann[key] = annihilator_induced(conv, x, Mx,
+                                                       transversals[x])
+            meet = meet.intersect(induced_ann[key])
         if meet != I:
             mismatched += 1
             rep.witnesses.setdefault("ideal_dims_mismatched", []).append(I.dim)
@@ -395,14 +414,17 @@ def verify_effros_hahn(conv: ConvAlgebra, seed: int = 0) -> Report:
     return rep
 
 
-def check_disintegration(conv: ConvAlgebra, M: AlgebraModule) -> Report:
+def check_disintegration(conv: ConvAlgebra,
+                         M: AlgebraModule | None = None) -> Report:
     """dim M = sum of stalk dims; beta functorial and invertible; the
-    action rebuilt from the stalks matches the original."""
+    action rebuilt from the stalks matches the original.  Without M, the
+    regular module's disintegration regular_stalks is checked."""
     try:
-        st = module_stalks(conv, M)
+        st = module_stalks(conv, M) if M is not None else regular_stalks(conv)
     except CheckFailure as exc:
         return Report(check="disintegration", hypotheses={}, passed=False,
                       witnesses={"error": str(exc)})
+    M = st.module
     dims = {str(u): st.stalk_space[u].dim for u in conv.groupoid.units}
     ok = st.reconstruction_check()
     return Report(check="disintegration", hypotheses={},

@@ -114,6 +114,8 @@ def field_from_doc(value) -> Field:
         if not isinstance(p, int):
             raise InputError("field characteristic must be an integer")
         if p > DEFAULT_PRIME_CAP:
+            if pow(2, p - 1, p) != 1:  # Fermat's test proves p composite
+                raise InputError(f"field order {p} is not prime")
             raise CapExceeded(
                 f"characteristic {p} exceeds the prime cap {DEFAULT_PRIME_CAP}")
         return GF(p)
@@ -540,6 +542,6 @@ def load_document(path: str):
     if kind == "module":
         raise InputError("module documents need an algebra context; "
                          "use the induce command")
-    if kind not in LOADERS:
+    if not isinstance(kind, str) or kind not in LOADERS:
         raise InputError(f"unknown document kind {kind!r}")
     return kind, LOADERS[kind](doc, os.path.dirname(os.path.abspath(path)))

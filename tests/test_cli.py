@@ -1,6 +1,8 @@
 """Command line surface: exit codes, JSON shape, determinism."""
 
+import copy
 import json
+import random
 import subprocess
 import sys
 
@@ -10,8 +12,9 @@ from gsheaf import exactalg, schemas
 from gsheaf.cli import main
 from gsheaf.convalg import build_conv_algebra
 from gsheaf.fields import GF
-from gsheaf.fixtures import (_diag_f2_squared, cyclic_mul, dual_numbers,
-                             galois_sheaf, group_groupoid, pair_groupoid,
+from gsheaf.fixtures import (_diag_f2_squared, catalog_names, cyclic_mul,
+                             dual_numbers, galois_sheaf, get_fixture,
+                             group_groupoid, pair_groupoid,
                              partial_swap_action, scalar_algebra, swap_action,
                              swap_ring_action, t1_groupoid, trivial_z2_action,
                              z2_isg)
@@ -58,6 +61,79 @@ def test_validate_rejects_corrupt_file(tmp_path, capsys):
     code, doc = run_cli(capsys, ["validate", p])
     assert code == 2
     assert doc["kind"] == "input_error"
+
+
+@pytest.mark.parametrize("kind", [[], {}, ["sheaf"], 1])
+def test_validate_rejects_a_kind_that_is_not_a_string(tmp_path, capsys, kind):
+    doc = schemas.sheaf_to_doc(galois_sheaf()[1])
+    doc["kind"] = kind
+    code, out = run_cli(capsys, ["validate", write(tmp_path, "k.json", doc)])
+    assert code == 2
+    assert out["kind"] == "input_error"
+
+
+def catalog_documents():
+    """The catalog's fixtures as documents: sheaves, space actions, ring
+    actions and partial group actions (with their field)."""
+    docs = []
+    for name in catalog_names():
+        fix = get_fixture(name)
+        built = fix.build()
+        if fix.kind == "sheaf":
+            docs.append(schemas.sheaf_to_doc(built[1]))
+        elif fix.kind == "space_action":
+            docs.append(schemas.space_action_to_doc(built))
+        elif fix.kind == "ring_action":
+            docs.append(schemas.ring_action_to_doc(built))
+        else:
+            act, field = built
+            doc = schemas.partial_group_action_to_doc(act)
+            doc["field"] = schemas.field_to_doc(field)
+            docs.append(doc)
+    return docs
+
+
+JUNK = [None, True, -1, 10**6, "x", [], {}, 1.5]
+
+
+def mutated(rng, doc):
+    """doc with one key or list entry deleted, or its value replaced by
+    junk, anywhere in the tree."""
+    doc = copy.deepcopy(doc)
+    places = []
+    work = [doc]
+    while work:
+        node = work.pop()
+        keys = node.keys() if isinstance(node, dict) else range(len(node))
+        for k in keys:
+            places.append((node, k))
+            if isinstance(node[k], (dict, list)):
+                work.append(node[k])
+    node, k = rng.choice(places)
+    if rng.random() < 0.25:
+        del node[k]
+    else:
+        node[k] = rng.choice(JUNK)
+    return doc
+
+
+def test_validate_fuzzed_catalog_documents(tmp_path, capsys):
+    # a malformed document exits 2 with a JSON error, never 1 and never
+    # with a traceback; a mutation that keeps the document valid exits 0
+    rng = random.Random("loader-fuzz")
+    docs = catalog_documents()
+    kinds = {doc["kind"] for doc in docs}
+    assert kinds == {"sheaf", "space_action", "ring_action",
+                     "partial_group_action"}
+    codes = {0: 0, 2: 0}
+    for case in range(400):
+        doc = mutated(rng, rng.choice(docs))
+        path = write(tmp_path, "fuzz.json", doc)
+        code, out = run_cli(capsys, ["validate", path])
+        assert code in codes, (case, doc, out)
+        assert (out["kind"] == "input_error") == (code == 2), (case, out)
+        codes[code] += 1
+    assert codes[0] > 0 and codes[2] > 0
 
 
 def test_algebra_out(tmp_path, capsys):
@@ -171,6 +247,14 @@ def test_ideals_and_radical_through_the_orbit_corner(tmp_path, capsys):
     code, doc = run_cli(capsys, ["radical", path])
     assert code == 0
     assert doc["radical_dim"] == 64
+    # one block, so the witness of `check simple` is the radical's first
+    # basis vector, read off the corner's answers (the whole-algebra
+    # radical took 20 s)
+    first = doc["basis"][0]
+    code, doc = run_cli(capsys, ["check", "simple", path])
+    assert code == 1
+    assert doc["lhs"] == {"simple": False}
+    assert doc["witnesses"] == {"proper_ideal_generator": first}
 
 
 def test_induce_command(tmp_path, capsys):

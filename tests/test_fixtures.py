@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from gsheaf import convalg, exactalg, fixtures, isgring
+from gsheaf import convalg, exactalg, fixtures, induction, isgring
 from gsheaf.errors import InputError
 from gsheaf.exactalg import FDAlgebra
 from gsheaf.fields import GF
@@ -129,7 +129,9 @@ def test_each_fixture_builds_its_skew_ring_once(monkeypatch):
     # Pierce realizations and the partial crossed products.  Each
     # convolution algebra asked for its ideals, simplicity or radical
     # looks for its orbit corner once; where there is one (9 of the 20),
-    # the corner's invariants are computed instead of Gamma's, one for one
+    # the corner's invariants are computed instead of Gamma's, one for one.
+    # Each sheaf's regular module is disintegrated once, for Effros-Hahn
+    # and the disintegration report together
     calls, args = {}, {}
 
     def count(module, name):
@@ -140,7 +142,7 @@ def test_each_fixture_builds_its_skew_ring_once(monkeypatch):
             args.setdefault(name, []).append(a)
             return original(*a, **kwargs)
         # every module that imported the function by name calls it so
-        for mod in (convalg, exactalg, fixtures, isgring):
+        for mod in (convalg, exactalg, fixtures, induction, isgring):
             if getattr(mod, name, None) is original:
                 monkeypatch.setattr(mod, name, wrapper)
 
@@ -153,6 +155,7 @@ def test_each_fixture_builds_its_skew_ring_once(monkeypatch):
     count(convalg, "build_conv_algebra")
     count(convalg, "_centralizer_of_diagonal")
     count(convalg, "_orbit_corner")
+    count(induction, "module_stalks")
     run_catalog(seed=0)
     assert calls == {"skew_isg_ring": 26, "siri_data": 20, "pierce_data": 3,
                      "pierce_atoms": 3, "dual_ring_action": 3,
@@ -160,11 +163,12 @@ def test_each_fixture_builds_its_skew_ring_once(monkeypatch):
                      "build_conv_algebra": 26, "validate_algebra": 82,
                      "_two_sided_ideals": 15, "_density_certificate": 18,
                      "_centralizer_of_diagonal": 17, "_radical": 34,
-                     "_central_idempotents": 18, "_orbit_corner": 20}
+                     "_central_idempotents": 18, "_orbit_corner": 20,
+                     "module_stalks": 17}
     # the wrappers keep every argument alive, so ids are not reused
     for name in ("_two_sided_ideals", "_density_certificate",
                  "_centralizer_of_diagonal", "_central_idempotents",
-                 "_orbit_corner"):
+                 "_orbit_corner", "module_stalks"):
         seen = [id(a[0]) for a in args[name]]
         assert len(set(seen)) == len(seen), name
     seen = [id(a[0]) for a in args["_radical"]]

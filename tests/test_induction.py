@@ -1,10 +1,14 @@
 """Isotropy rings, induced modules, annihilators, disintegration."""
 
+import gc
+import weakref
+
 import pytest
 
-from gsheaf import exactalg, linalg
+from gsheaf import convalg, exactalg, induction, linalg
 from gsheaf.convalg import build_conv_algebra
 from gsheaf.errors import CapExceeded, InputError
+from gsheaf.exactalg import Subspace
 from gsheaf.fields import GF
 from gsheaf.fixtures import (catalog_names, cyclic_mul, galois_sheaf,
                              get_fixture, group_groupoid, pair_groupoid,
@@ -12,10 +16,12 @@ from gsheaf.fixtures import (catalog_names, cyclic_mul, galois_sheaf,
                              z2_bundle_over_p2)
 from gsheaf.induction import (Transversal, annihilator_induced,
                               check_disintegration, induce, isotropy_ring,
-                              module_stalks, verify_effros_hahn)
+                              module_stalks, regular_stalks,
+                              verify_effros_hahn)
 from gsheaf.sheaf import constant_sheaf
 from oracles import (SectionBimodule, freeness_isomorphisms,
                      isotropy_skew_ring)
+from test_exactalg import lattice_conv
 
 
 def conv_of(G, p=2):
@@ -240,6 +246,79 @@ def test_effros_hahn_skips_on_a_cap_in_an_induced_module(monkeypatch):
     # the radical of Gamma, an expectation, skips on the same cap
     assert {k for k in before if after[k] != before[k]} == {
         "effros-hahn", "S3-F2:radical_dim"}
+
+
+def stalk_quotients(conv):
+    """The (x, e_x I) over the units x and the ideals I of Gamma with
+    e_x I != e_x Gamma, read off Gamma's table: the stalk quotients
+    (Gamma/I)_x that are not zero, each once."""
+    A, G = conv.algebra, conv.groupoid
+    keys = set()
+    for x in G.units:
+        e_x = conv.chi([G.unit_arrow(x)])
+        stalk = Subspace.from_vectors(A.field, A.dim, [
+            A.mul(e_x, A.basis_vector(k)) for k in range(A.dim)])
+        for I in convalg.two_sided_ideals(conv):
+            cut = Subspace.from_vectors(A.field, A.dim, [
+                A.mul(e_x, list(v)) for v in I.basis])
+            if cut != stalk:
+                keys.add((x, cut.basis))
+    return keys
+
+
+@pytest.mark.parametrize("name", ["MIX", "T1-3-F3", "P2+Z3/F@3"])
+def test_effros_hahn_induces_each_stalk_quotient_once(monkeypatch, name):
+    # part (1) induces (Gamma/I)_x once per distinct (x, e_x I), and never
+    # a zero quotient; part (2) passes its induced module in
+    if "@" in name:
+        conv = lattice_conv(name)
+    else:
+        conv = build_conv_algebra(*get_fixture(name).build())
+    quotients = []
+    real = induction.annihilator_induced
+
+    def counted(conv, x, M, T=None, ind=None):
+        if ind is None:
+            quotients.append((x, M))
+        return real(conv, x, M, T, ind)
+
+    monkeypatch.setattr(induction, "annihilator_induced", counted)
+    assert verify_effros_hahn(conv).passed is True
+    assert all(M.dim > 0 for _, M in quotients)
+    seen = {(x, M.dim, str(M.mats)) for x, M in quotients}
+    assert len(seen) == len(quotients)
+    assert len(quotients) == len(stalk_quotients(conv))
+    # one induction per proper ideal and unit would be 15, 21 and 21
+    assert len(quotients) == {"MIX": 4, "T1-3-F3": 3, "P2+Z3/F@3": 5}[name]
+
+
+def test_regular_stalks_are_built_once_per_algebra(monkeypatch):
+    builds = []
+    real = induction.module_stalks
+
+    def counted(conv, M):
+        builds.append(M)
+        return real(conv, M)
+
+    monkeypatch.setattr(induction, "module_stalks", counted)
+    conv = build_conv_algebra(*get_fixture("MIX").build())
+    verify_effros_hahn(conv)
+    st = regular_stalks(conv)
+    assert check_disintegration(conv).passed is True
+    assert len(builds) == 1 and st.module is builds[0]
+    assert st.module.mats == exactalg.regular_module(conv.algebra).mats
+    # a module passed in is disintegrated on its own
+    assert check_disintegration(conv, st.module).passed is True
+    assert len(builds) == 2
+    # the memo holds no reference back to the convolution algebra, so the
+    # algebra dies with its last reference, without the cycle collector
+    ref = weakref.ref(conv)
+    gc.disable()
+    try:
+        del conv, st
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_module_stalks_of_regular_module():

@@ -36,6 +36,12 @@ def test_field_docs():
         schemas.field_from_doc({"p": 17})
     with pytest.raises(InputError):
         schemas.field_from_doc({"p": 4})     # within the cap but composite
+    # above the cap, a composite order is still malformed input
+    for composite in (10**6, 10**40 + 1):
+        with pytest.raises(InputError):
+            schemas.field_from_doc({"p": composite})
+    with pytest.raises(CapExceeded):
+        schemas.field_from_doc({"p": 2**61 - 1})
     with pytest.raises(InputError):
         schemas.field_from_doc("R")
 

@@ -4,12 +4,13 @@ The reference functions below are the dense versions of FDAlgebra.mul,
 validate_algebra, mat_vec and mat_mul, which compared every entry of both
 operands with zero, and of the module and ideal layer: AlgebraModule
 validate/action_matrix, submodule_generated/is_submodule by mat_vec,
-quotient_module through the lift matrix, ideal_generated on all n + 1
-left images, is_ideal by A.mul(b, v), and the join closure by
-Subspace.join.  They live here only as the oracle: on seeded random
+quotient_module through the lift matrix, the annihilator from one
+equation per matrix entry, ideal_generated on all n + 1 left images,
+is_ideal by A.mul(b, v), and the join closure by Subspace.join.  They live here only as the oracle: on seeded random
 tables and matrices, sparse and dense, over GF(2), GF(3), GF(5) and QQ,
 the kernel must give the same vectors, matrices, subspaces and violation
-lists, entry type included.
+lists, entry type included.  Modules induced from isotropy, whose action
+matrices are mostly structurally zero rows, are compared as well.
 """
 
 import random
@@ -19,12 +20,14 @@ import pytest
 
 from gsheaf import exactalg, linalg
 from gsheaf.convalg import build_conv_algebra
-from gsheaf.errors import AlgebraError
+from gsheaf.errors import AlgebraError, CheckFailure
 from gsheaf.exactalg import AlgebraModule, FDAlgebra, Subspace
 from gsheaf.fields import GF, QQ
 from gsheaf.linalg import IncrementalSpan
-from gsheaf.fixtures import (cyclic_mul, dual_numbers, group_groupoid,
-                             pair_groupoid, s3_group, scalar_algebra)
+from gsheaf.fixtures import (cyclic_mul, dual_numbers, get_fixture,
+                             group_groupoid, pair_groupoid, s3_group,
+                             scalar_algebra)
+from gsheaf.induction import induce, isotropy_ring
 from gsheaf.sheaf import constant_sheaf
 
 FIELDS = [GF(2), GF(3), GF(5), QQ]
@@ -154,6 +157,19 @@ def dense_quotient_module(M, N):
     proj, lift = exactalg.quotient_coords(f, N)
     mats = [dense_mat_mul(f, dense_mat_mul(f, proj, X), lift) for X in M.mats]
     return AlgebraModule(M.algebra, len(proj), mats), proj
+
+
+def dense_annihilator(M):
+    """The old annihilator: one equation per entry (r, c), zero or not."""
+    A, f = M.algebra, M.field
+    rows = [[M.mats[i][r][c] for i in range(A.dim)]
+            for r in range(M.dim) for c in range(M.dim)]
+    ker = (linalg.kernel_basis(f, rows, A.dim) if rows
+           else linalg.identity_matrix(f, A.dim))
+    S = Subspace.from_vectors(f, A.dim, ker)
+    if not dense_is_ideal(A, S):
+        raise CheckFailure("annihilator is not a two-sided ideal")
+    return S
 
 
 def dense_ideal_generated(A, gens, sided="two", stop_at_full=False):
@@ -539,6 +555,43 @@ def test_ideal_generation_multiplies_only_echelon_rows(monkeypatch):
     assert I.is_full() and len(fed) <= 1 + 9 + 3 * 9
     fed.clear()
     assert dense_ideal_generated(A, [e11]) == I and len(fed) == 10 * 10
+
+
+def outcome(fn, *args):
+    """The value of fn(*args), or the message of the CheckFailure it raised."""
+    try:
+        return fn(*args)
+    except CheckFailure as exc:
+        return str(exc)
+
+
+def induced_modules(name):
+    """Ind_x of the regular B_x-module and of each simple B_x-module, at
+    every unit x of a catalog sheaf."""
+    conv = build_conv_algebra(*get_fixture(name).build())
+    for x in conv.groupoid.units:
+        R = exactalg.regular_module(isotropy_ring(conv, x))
+        for M in [R] + exactalg.meataxe_simple_quotients(R):
+            yield induce(conv, x, M)
+
+
+@pytest.mark.parametrize("name", ["P3-F3", "MIX", "DUAL-P2"])
+def test_validate_and_annihilator_match_dense_on_induced_modules(name):
+    # an induced module over a k-unit orbit has one nonzero block per
+    # basis section, so most rows are structurally zero; a perturbed entry
+    # may sit in such a row, or on a row some other rho(b_k) already has
+    rng = random.Random(f"induced-{name}")
+    count = 0
+    for ind in induced_modules(name):
+        count += 1
+        assert ind.validate() == dense_module_validate(ind) == []
+        assert exactalg.annihilator(ind) == dense_annihilator(ind)
+        for _ in range(12):
+            broken = perturbed_module(rng, ind)
+            assert broken.validate() == dense_module_validate(broken)
+            assert outcome(exactalg.annihilator, broken) == \
+                outcome(dense_annihilator, broken)
+    assert count == {"P3-F3": 6, "MIX": 6, "DUAL-P2": 4}[name]
 
 
 def test_nonzero_rows_are_built_once_per_module(monkeypatch):
