@@ -189,8 +189,9 @@ def cmd_induce(args) -> int:
     B = induction.isotropy_ring(conv, args.unit)
     mdoc = schemas.load_json(args.module)
     M = schemas.module_from_doc(mdoc, B)
-    ind = induction.induce(conv, args.unit, M)
-    ann = induction.annihilator_induced(conv, args.unit, M, ind=ind)
+    T = induction.Transversal.canonical(conv, args.unit)
+    ind = induction.induce(conv, args.unit, M, T)
+    ann = induction.annihilator_induced(conv, args.unit, M, T, ind)
     f = conv.field
     _print({
         "unit": args.unit,
@@ -199,7 +200,8 @@ def cmd_induce(args) -> int:
         "induced_dim": ind.dim,
         "annihilator_dim": ann.dim,
         "annihilator_basis": [[f.encode(c) for c in row] for row in ann.basis],
-        "simple": exactalg.is_simple_module(ind),
+        "simple": induction.induced_simplicity_witness(
+            conv, args.unit, M, T, ind) is None,
     })
     return 0
 

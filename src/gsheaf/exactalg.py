@@ -942,10 +942,6 @@ def _norton_theta(M: AlgebraModule):
     return best
 
 
-def is_simple_module(M: AlgebraModule) -> bool:
-    return module_simplicity_witness(M) is None
-
-
 def quotient_coords(field: Field, N: Subspace):
     """(proj, lift): quotient coordinates on the complement of N's pivots.
 

@@ -16,9 +16,12 @@ reference):
         sum over arrows zeta: y -> z of
             (alpha_{eta_z^{-1}}(f(zeta)) delta_{eta_z^{-1} zeta eta_y}) . m
 
-and a section f annihilates Ind_x(M) iff each of those inner sums lies
-in the annihilator of M; that criterion is recomputed independently and
-compared against the direct annihilator every time.
+The inner sums are the blocks of one map Phi_x: Gamma_c -> M_k(B_x),
+k = |Orb(x)|, certified a unital ring homomorphism once per transversal
+(InductionMap), so Ind_x(M) = (id_k (x) rho_M) o Phi_x is a module once
+M is.  A section f annihilates Ind_x(M) iff each of those inner sums
+lies in the annihilator of M; that criterion is recomputed independently
+and compared against the direct annihilator every time.
 
 Disintegration: e_x = chi_{x} are orthogonal idempotents summing to 1,
 every module M splits as the sum of its stalks M_x = e_x M, arrows act
@@ -47,7 +50,12 @@ def isotropy_ring(conv: ConvAlgebra, x) -> FDAlgebra:
 
 
 class Transversal:
-    """Arrows eta_y: x -> y, one per orbit unit, with eta_x the identity."""
+    """Arrows eta_y: x -> y, one per orbit unit, with eta_x the identity.
+
+    The induction map along it is built and certified on first use
+    (induction_map) and kept here, so every module induced along one
+    transversal shares one certificate.
+    """
 
     def __init__(self, conv: ConvAlgebra, x, eta: dict):
         G = conv.groupoid
@@ -61,6 +69,7 @@ class Transversal:
         for y, a in self.eta.items():
             if G.src[a] != x or G.dst[a] != y:
                 raise InputError(f"transversal arrow for {y} is not x -> y")
+        self._phi = None
 
     @classmethod
     def canonical(cls, conv: ConvAlgebra, x):
@@ -75,6 +84,13 @@ class Transversal:
                 raise CheckFailure("orbit unit unreachable by an arrow")
             eta[y] = min(between, key=G.arrow_index.get)
         return cls(conv, x, eta)
+
+    def induction_map(self, conv: ConvAlgebra, B: FDAlgebra) -> "InductionMap":
+        """Phi_x into M_k(B), certified once per algebra B."""
+        phi = self._phi
+        if phi is None or phi.B is not B or phi.algebra is not conv.algebra:
+            phi = self._phi = InductionMap(conv, self, B)
+        return phi
 
 
 def _displaced(conv: ConvAlgebra, T: Transversal, B: FDAlgebra, zeta, i):
@@ -93,38 +109,123 @@ def _displaced(conv: ConvAlgebra, T: Transversal, B: FDAlgebra, zeta, i):
     return bvec
 
 
+class InductionMap:
+    """Phi_x: Gamma_c -> M_k(B_x) along a transversal, k = |Orb(x)|.
+
+    The point mass e_i on zeta: y -> z goes to E_{z,y} (x) d(zeta, i),
+    d the displaced element (_displaced); sections on arrows outside the
+    orbit go to 0.  entries[j] is (slot of z, slot of y, d) for the j-th
+    basis section, or None.  The constructor certifies Phi_x a unital
+    ring homomorphism that restricts to the identity of B_x on the corner
+    1_x Gamma_c 1_x, so Ind_x(M) = (id_k (x) rho_M) o Phi_x is a
+    Gamma_c-module for every B_x-module M.
+    """
+
+    def __init__(self, conv: ConvAlgebra, T: Transversal, B: FDAlgebra):
+        G, A = conv.groupoid, conv.algebra
+        self.B, self.algebra, self.x = B, A, T.x
+        self.loops = set(G.isotropy_arrows(T.x))
+        self.slot = {y: s for s, y in enumerate(T.orbit)}
+        self.entries = [
+            (self.slot[G.dst[zeta]], self.slot[G.src[zeta]],
+             _displaced(conv, T, B, zeta, i))
+            if G.src[zeta] in self.slot else None
+            for (zeta, i) in A.labels]
+        bad = self.violations()
+        if bad:
+            raise CheckFailure("induction map is not a unital ring "
+                               "homomorphism: " + bad[0])
+
+    def violations(self) -> list[str]:
+        """Phi(b_i) Phi(b_j) = sum_k t_ijk Phi(b_k) on the basis pairs
+        where either side can be nonzero: those with b_i b_j != 0 in
+        Gamma's table and those with E_{z_i,y_i} E_{z_j,y_j} != 0.  Then
+        Phi(1) = 1 and Phi(e_i on delta) = e_(i, delta) for every loop
+        delta at x."""
+        A, B, f = self.algebra, self.B, self.B.field
+        table, btable = A.nonzero_table(), B.nonzero_table()
+        # (slot of z, slot of y, nonzero coordinates of d), or None
+        sparse = [None if e is None else
+                  (e[0], e[1], [(k, c) for k, c in enumerate(e[2]) if c != 0])
+                  for e in self.entries]
+        into: dict = {}
+        for j, e in enumerate(sparse):
+            if e is not None:
+                into.setdefault(e[0], []).append(j)
+
+        def subtract(diff, e, scale):
+            if e is not None:
+                for k, c in e[2]:
+                    key = (e[0], e[1], k)
+                    diff[key] = f.sub(diff.get(key, f.zero), f.mul(scale, c))
+
+        bad = []
+        for i, ei in enumerate(sparse):
+            pairs = {j for j, ts in enumerate(table[i]) if ts}
+            if ei is not None:
+                pairs.update(into.get(ei[1], ()))
+            for j in sorted(pairs):
+                ej = sparse[j]
+                diff: dict = {}
+                if ei is not None and ej is not None and ei[1] == ej[0]:
+                    for a, s in ei[2]:
+                        for b, t in ej[2]:
+                            st = f.mul(s, t)
+                            for k, c in btable[a][b]:
+                                key = (ei[0], ej[1], k)
+                                diff[key] = f.add(diff.get(key, f.zero),
+                                                  f.mul(st, c))
+                for k, t in table[i][j]:
+                    subtract(diff, sparse[k], t)
+                if any(c != 0 for c in diff.values()):
+                    bad.append(f"Phi({A.labels[i]}) Phi({A.labels[j]}) "
+                               f"!= Phi({A.labels[i]} * {A.labels[j]})")
+        one = {(s, s, k): c for s in self.slot.values()
+               for k, c in enumerate(B.unit) if c != 0}
+        for j, u in enumerate(A.unit):
+            if u != 0:
+                subtract(one, sparse[j], u)
+        if any(c != 0 for c in one.values()):
+            bad.append("Phi(1) is not the identity of M_k(B_x)")
+        s = self.slot[self.x]
+        for j, (delta, i) in enumerate(A.labels):
+            if delta in self.loops and sparse[j] != (
+                    s, s, [(B.label_index[i, delta], f.one)]):
+                bad.append(f"Phi({A.labels[j]}) is not its corner element")
+        return bad
+
+
 def induce(conv: ConvAlgebra, x, M: AlgebraModule,
            T: Transversal | None = None) -> AlgebraModule:
     """Ind_x(M) for a left B_x-module M, as a Gamma_c-module.
 
     Carrier: one copy of M per orbit unit (basis labels (y, k) in orbit
-    order); the action matrix of each point-mass basis section is filled
-    from the displacement formula in the module docstring.
+    order); the action matrix of the j-th basis section is
+    (id_k (x) rho_M)(Phi_x(b_j)), the displacement formula in the module
+    docstring.  It is a Gamma_c-module because Phi_x is certified a
+    unital ring homomorphism (InductionMap) and M is validated over B_x.
     """
-    G, f = conv.groupoid, conv.field
-    B = M.algebra
     if T is None:
         T = Transversal.canonical(conv, x)
-    orbit = T.orbit
-    slot = {y: s for s, y in enumerate(orbit)}
-    dim = len(orbit) * M.dim
+    phi = T.induction_map(conv, M.algebra)
+    bad = M.validate()
+    if bad:
+        raise CheckFailure("module is not a B_x-module: " + bad[0])
+    f, m = conv.field, M.dim
+    dim = len(T.orbit) * m
     mats = []
-    for (zeta, i) in conv.algebra.labels:
+    for entry in phi.entries:
         Mat = linalg.zero_matrix(f, dim, dim)
-        y, z = G.src[zeta], G.dst[zeta]
-        if y in slot:
-            act = M.action_matrix(_displaced(conv, T, B, zeta, i))
-            ro, co = slot[z] * M.dim, slot[y] * M.dim
-            for r in range(M.dim):
-                for c in range(M.dim):
+        if entry is not None:
+            zs, ys, d = entry
+            act = M.action_matrix(d)
+            ro, co = zs * m, ys * m
+            for r in range(m):
+                for c in range(m):
                     if act[r][c] != 0:
                         Mat[ro + r][co + c] = act[r][c]
         mats.append(Mat)
-    ind = AlgebraModule(conv.algebra, dim, mats)
-    bad = ind.validate()
-    if bad:
-        raise CheckFailure("induced module fails module axioms: " + bad[0])
-    return ind
+    return AlgebraModule(conv.algebra, dim, mats)
 
 
 def annihilator_induced(conv: ConvAlgebra, x, M: AlgebraModule,
@@ -133,32 +234,34 @@ def annihilator_induced(conv: ConvAlgebra, x, M: AlgebraModule,
     """Annihilator of Ind_x(M), computed two independent ways.
 
     Directly from the induced action matrices, and through the orbit-sum
-    criterion (each inner sum lands in Ann_{B_x}(M)); any mismatch is a
-    hard failure.
+    criterion (each inner sum lands in Ann_{B_x}(M)): a section f
+    annihilates Ind_x(M) iff every block of Phi_x(f) maps to 0 in
+    B_x / Ann(M), so the criterion's rows are read off Phi_x.  Any
+    mismatch is a hard failure.
     """
-    G, f = conv.groupoid, conv.field
-    B = M.algebra
+    f = conv.field
     if T is None:
         T = Transversal.canonical(conv, x)
     if ind is None:
         ind = induce(conv, x, M, T)
     direct = exactalg.annihilator(ind)
 
-    annB = exactalg.annihilator(M)
-    projB, _ = exactalg.quotient_coords(f, annB)
-    rows = []
-    for y in T.orbit:
-        for z in T.orbit:
-            # linear map Gamma_c -> B_x / Ann(M): the orbit sum followed by
-            # the quotient projection; stack its matrix rows
-            cols = []
-            for (zeta, i) in conv.algebra.labels:
-                if G.src[zeta] == y and G.dst[zeta] == z:
-                    bvec = _displaced(conv, T, B, zeta, i)
-                else:
-                    bvec = linalg.zero_vector(f, B.dim)
-                cols.append(linalg.mat_vec(f, projB, bvec))
-            rows.extend(linalg.transpose(cols))
+    phi = T.induction_map(conv, M.algebra)
+    projB, _ = exactalg.quotient_coords(f, exactalg.annihilator(M))
+    # one row per block (z, y) and quotient coordinate: the linear map
+    # Gamma_c -> B_x / Ann(M) of the orbit sum and the quotient projection
+    blocks: dict = {}
+    for j, entry in enumerate(phi.entries):
+        if entry is None:
+            continue
+        col = linalg.mat_vec(f, projB, entry[2])
+        rows = blocks.get(entry[:2])
+        if rows is None:
+            rows = blocks[entry[:2]] = [linalg.zero_vector(f, conv.dim)
+                                        for _ in col]
+        for row, c in zip(rows, col):
+            row[j] = c
+    rows = [row for block in blocks.values() for row in block]
     if rows:
         criterion = Subspace.from_vectors(
             f, conv.dim, linalg.kernel_basis(f, rows, conv.dim))
@@ -168,6 +271,60 @@ def annihilator_induced(conv: ConvAlgebra, x, M: AlgebraModule,
         raise CheckFailure("orbit-sum annihilator criterion disagrees with "
                            "the direct annihilator")
     return direct
+
+
+def induced_simplicity_witness(conv: ConvAlgebra, x, M: AlgebraModule,
+                               T: Transversal | None = None,
+                               ind: AlgebraModule | None = None):
+    """None when Ind_x(M) is simple; else a proper nonzero submodule.
+
+    Decided on the base stalk.  Slot y of Ind_x(M) is e_y Ind_x(M), and
+    the corner B_x acts on slot x as on M (both part of Phi_x's
+    certificate).  If M is simple, chi_{eta_y} carries slot x onto slot y
+    for every y (slot x generates) and chi_{eta_y^-1} maps slot y
+    injectively into slot x, then Ind_x(M) is simple: a nonzero submodule
+    W has some e_y W != 0, so chi_{eta_y^-1} e_y W meets slot x, and that
+    meet is a nonzero B_x-submodule of M, so all of slot x, which
+    generates.  If M has a proper submodule M', Gamma . M' is a proper
+    submodule, certified proper.  Either premise failing on ind is a
+    CheckFailure.  The scan of module_simplicity_witness runs on M, not
+    on Ind_x(M).
+    """
+    if T is None:
+        T = Transversal.canonical(conv, x)
+    if ind is None:
+        ind = induce(conv, x, M, T)
+    f, G, m = conv.field, conv.groupoid, M.dim
+    slot = {y: s for s, y in enumerate(T.orbit)}
+    base = range(slot[x] * m, (slot[x] + 1) * m)
+    W = exactalg.module_simplicity_witness(M)
+    if W is not None:
+        lifted = []
+        for v in W.basis:
+            w = linalg.zero_vector(f, ind.dim)
+            for r, c in zip(base, v):
+                w[r] = c
+            lifted.append(w)
+        U = exactalg.submodule_generated(ind, lifted)
+        if U.is_zero() or U.is_full():
+            raise CheckFailure("a proper submodule of the base stalk "
+                               "generates no proper induced submodule")
+        return U
+    carried = []
+    for y, eta in T.eta.items():
+        out = ind.action_matrix(conv.chi([eta]))
+        carried.extend([row[c] for row in out] for c in base)
+        back = ind.action_matrix(conv.chi([G.inverse[eta]]))
+        cols = range(slot[y] * m, (slot[y] + 1) * m)
+        block = [[back[r][c] for c in cols] for r in base]
+        if (linalg.rank(f, block) != m or any(
+                back[r][c] != 0 for r in range(ind.dim) if r not in base
+                for c in cols)):
+            raise CheckFailure(f"chi of eta_{y}^-1 does not map slot {y} "
+                               f"injectively into the base slot")
+    if not Subspace.from_vectors(f, ind.dim, carried).is_full():
+        raise CheckFailure("the base slot does not generate the induced module")
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -327,7 +484,11 @@ def verify_effros_hahn(conv: ConvAlgebra, seed: int = 0) -> Report:
     Gamma) induces the zero module, whose annihilator Gamma leaves the
     intersection as it is, and is skipped.  The orbit-sum annihilator
     criterion is consistency-checked inside every annihilator_induced
-    call.  A cap in (2) makes the report a skip.
+    call.  Each distinct (x, action matrices) is induced and annihilated
+    once per call, so a simple module of (2) that equals a stalk
+    quotient of (1) reuses its induced module and annihilator; its
+    simplicity is decided on the base stalk (induced_simplicity_witness).
+    A cap in (2) makes the report a skip.
     seed is accepted for compatibility and changes no answer.
     """
     G = conv.groupoid
@@ -343,11 +504,24 @@ def verify_effros_hahn(conv: ConvAlgebra, seed: int = 0) -> Report:
 
     B_at = {x: isotropy_ring(conv, x) for x in G.units}
     transversals = {x: Transversal.canonical(conv, x) for x in G.units}
+    induced: dict = {}
+
+    def induced_at(x, M):
+        """(Ind_x(M), its annihilator), once per unit and exact action
+        matrices of M: a simple quotient (Gamma/I)_x of (1) comes back
+        in (2) as a simple B_x-module."""
+        key = (x, tuple(tuple(map(tuple, X)) for X in M.mats))
+        if key not in induced:
+            ind = induce(conv, x, M, transversals[x])
+            induced[key] = ind, annihilator_induced(conv, x, M,
+                                                    transversals[x], ind)
+        return induced[key]
+
     # (Gamma/I)_x = e_x Gamma / e_x I: the stalks of the regular module
     # modulo the stalks of each ideal, annihilated once per (x, e_x I)
     stalks = regular_stalks(conv)
     R_at = {x: stalks.b_x_module(x, B_at[x]) for x in G.units}
-    induced_ann: dict = {}
+    quotient_ann: dict = {}
 
     mismatched = 0
     for I in ideals:
@@ -360,11 +534,10 @@ def verify_effros_hahn(conv: ConvAlgebra, seed: int = 0) -> Report:
             if N.is_full():
                 continue
             key = (x, N.basis)
-            if key not in induced_ann:
+            if key not in quotient_ann:
                 Mx, _ = exactalg.quotient_module(R_at[x], N)
-                induced_ann[key] = annihilator_induced(conv, x, Mx,
-                                                       transversals[x])
-            meet = meet.intersect(induced_ann[key])
+                quotient_ann[key] = induced_at(x, Mx)[1]
+            meet = meet.intersect(quotient_ann[key])
         if meet != I:
             mismatched += 1
             rep.witnesses.setdefault("ideal_dims_mismatched", []).append(I.dim)
@@ -383,9 +556,9 @@ def verify_effros_hahn(conv: ConvAlgebra, seed: int = 0) -> Report:
             continue
         for S in simples:
             try:
-                ind = induce(conv, x, S, transversals[x])
-                simple = exactalg.is_simple_module(ind)
-                ann = annihilator_induced(conv, x, S, transversals[x], ind)
+                ind, ann = induced_at(x, S)
+                simple = induced_simplicity_witness(
+                    conv, x, S, transversals[x], ind) is None
             except CapExceeded as exc:
                 rep.caps_hit.append(str(exc))
                 continue

@@ -22,6 +22,13 @@ from gsheaf.isgring import FiniteInverseSemigroup
 VNR_ORDER_CAP = 2**16
 
 
+def is_simple_module(M: AlgebraModule) -> bool:
+    """The irreducibility engine asked of M as it stands: on a module
+    Ind_x(S) it scans the induced module's points, where
+    induction.induced_simplicity_witness scans only those of S."""
+    return exactalg.module_simplicity_witness(M) is None
+
+
 def vnr_scan(A: FDAlgebra):
     """(flag, witness): every a has x with a x a = a; the witness is the
     first element, in A.elements() order, with no such x."""

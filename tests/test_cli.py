@@ -11,7 +11,7 @@ import pytest
 from gsheaf import exactalg, schemas
 from gsheaf.cli import main
 from gsheaf.convalg import build_conv_algebra
-from gsheaf.fields import GF
+from gsheaf.fields import GF, QQ
 from gsheaf.fixtures import (_diag_f2_squared, catalog_names, cyclic_mul,
                              dual_numbers, galois_sheaf, get_fixture,
                              group_groupoid, pair_groupoid,
@@ -275,6 +275,63 @@ def test_induce_command(tmp_path, capsys):
     code, doc = run_cli(capsys, ["induce", gal, "--unit", "zz",
                                  "--module", mpath])
     assert code == 2
+
+
+def test_induce_decides_simplicity_on_the_base_stalk(tmp_path, capsys):
+    # P3 over QQ: the induced module of B_x's 1-dim regular module is
+    # decided without a point scan (it capped on the 3-dim induced module)
+    O = constant_sheaf(pair_groupoid(3), scalar_algebra(QQ))
+    p3q = write(tmp_path, "p3q.json", schemas.sheaf_to_doc(O))
+    B = isotropy_ring(build_conv_algebra(O.groupoid, O), "u1")
+    mpath = write(tmp_path, "mod.json",
+                  schemas.module_to_doc(exactalg.regular_module(B)))
+    code, doc = run_cli(capsys, ["induce", p3q, "--unit", "u1",
+                                 "--module", mpath])
+    assert code == 0
+    assert doc["induced_dim"] == 3 and doc["annihilator_dim"] == 0
+    assert doc["simple"] is True
+    # a 2-dim base stalk over QQ is still undecided: exit 3
+    two = exactalg.AlgebraModule(B, 2, [[[1, 0], [0, 1]]])
+    mpath = write(tmp_path, "two.json", schemas.module_to_doc(two))
+    code, doc = run_cli(capsys, ["induce", p3q, "--unit", "u1",
+                                 "--module", mpath])
+    assert code == 3
+    assert doc["kind"] == "cap_exceeded"
+
+
+SMALL_SHEAVES = ("T1-1-F2", "T1-2-F2", "T1-3-F3", "DUAL-T1-1", "Z2-F2",
+                 "Z3-F3", "GAL", "P2-F2", "P2-F3", "P2-Q")
+
+
+def test_induce_and_effros_hahn_on_fuzzed_documents(tmp_path, capsys):
+    # `induce` on mutated module documents and `verify effros-hahn` on
+    # mutated sheaf documents exit 0, 2 or 3, never with a traceback
+    rng = random.Random("induce-fuzz")
+    gal = galois_doc(tmp_path)
+    G, O = galois_sheaf()
+    B = isotropy_ring(build_conv_algebra(G, O), "x")
+    modules = [schemas.module_to_doc(exactalg.regular_module(B)),
+               schemas.module_to_doc(
+                   exactalg.meataxe_simple_quotients(
+                       exactalg.regular_module(B))[0])]
+    codes = {0: 0, 2: 0, 3: 0}
+    for case in range(200):
+        path = write(tmp_path, "mod.json", mutated(rng, rng.choice(modules)))
+        code, out = run_cli(capsys, ["induce", gal, "--unit", "x",
+                                     "--module", path])
+        assert code in codes, (case, out)
+        codes[code] += 1
+    assert codes[0] > 0 and codes[2] > 0
+    sheaves = [schemas.sheaf_to_doc(get_fixture(name).build()[1])
+               for name in SMALL_SHEAVES]
+    codes = {0: 0, 2: 0, 3: 0}
+    for case in range(200):
+        path = write(tmp_path, "sheaf.json", mutated(rng, rng.choice(sheaves)))
+        code, out = run_cli(capsys, ["verify", "effros-hahn", path])
+        # exit 1 would be a report that the theorem fails: a finding
+        assert code in codes, (case, out)
+        codes[code] += 1
+    assert codes[0] > 0 and codes[2] > 0
 
 
 def test_verify_effros_hahn(tmp_path, capsys):

@@ -7,21 +7,21 @@ import pytest
 
 from gsheaf import convalg, exactalg, induction, linalg
 from gsheaf.convalg import build_conv_algebra
-from gsheaf.errors import CapExceeded, InputError
+from gsheaf.errors import CapExceeded, CheckFailure, InputError
 from gsheaf.exactalg import Subspace
 from gsheaf.fields import GF
-from gsheaf.fixtures import (catalog_names, cyclic_mul, galois_sheaf,
-                             get_fixture, group_groupoid, pair_groupoid,
-                             run_fixture, scalar_algebra, t1_groupoid,
-                             z2_bundle_over_p2)
+from gsheaf.fixtures import (catalog_names, cyclic_mul, f4_algebra,
+                             frobenius_matrix, galois_sheaf, get_fixture,
+                             group_groupoid, pair_groupoid, run_fixture,
+                             scalar_algebra, t1_groupoid, z2_bundle_over_p2)
 from gsheaf.induction import (Transversal, annihilator_induced,
                               check_disintegration, induce, isotropy_ring,
                               module_stalks, regular_stalks,
                               verify_effros_hahn)
-from gsheaf.sheaf import constant_sheaf
+from gsheaf.sheaf import GSheafOfAlgebras, constant_sheaf
 from oracles import (SectionBimodule, freeness_isomorphisms,
-                     isotropy_skew_ring)
-from test_exactalg import lattice_conv
+                     is_simple_module, isotropy_skew_ring)
+from test_exactalg import LATTICE_SHAPES, lattice_conv
 
 
 def conv_of(G, p=2):
@@ -163,7 +163,7 @@ def test_induce_galois_regular():
     assert len(simples) == 1 and simples[0].dim == 2
     ind = induce(conv, "x", simples[0])
     assert ind.dim == 2
-    assert exactalg.is_simple_module(ind)
+    assert is_simple_module(ind)
     assert annihilator_induced(conv, "x", simples[0], ind=ind).is_zero()
 
 
@@ -182,7 +182,7 @@ def test_induced_module_dim_counts_orbit():
     reg = exactalg.regular_module(B)     # dim 1
     ind = induce(conv, "u1", reg)
     assert ind.dim == 2                  # one copy per orbit unit
-    assert exactalg.is_simple_module(ind)
+    assert is_simple_module(ind)
 
 
 def test_transversal_independence_of_induction():
@@ -224,18 +224,30 @@ def test_effros_hahn_caps_on_large_algebras():
 
 
 def test_effros_hahn_skips_on_a_cap_in_an_induced_module(monkeypatch):
-    # a cap on a module over Gamma, as an induced module, lands in the
-    # report that asked for it, and the fixture still gives every report
+    # a cap in deciding an induced module's simplicity lands in the report
+    # that asked for it, and the fixture still gives every report.  The
+    # decision scans the base stalk, a module over B_x, so the cap is put
+    # there: on B_x-modules, outside the meataxe that finds the simples
     before = {r.check: r.to_json() for r in run_fixture("S3-F2")}
     G, O = get_fixture("S3-F2").build()
-    labels = build_conv_algebra(G, O).algebra.labels
+    labels = isotropy_ring(build_conv_algebra(G, O), G.units[0]).labels
     real = exactalg.module_simplicity_witness
+    real_meataxe = exactalg.meataxe_simple_quotients
+    in_meataxe = []
+
+    def meataxe(M):
+        in_meataxe.append(M)
+        try:
+            return real_meataxe(M)
+        finally:
+            in_meataxe.pop()
 
     def capped(M):
-        if M.algebra.labels == labels:
+        if M.algebra.labels == labels and not in_meataxe:
             raise CapExceeded("capped for the test")
         return real(M)
 
+    monkeypatch.setattr(exactalg, "meataxe_simple_quotients", meataxe)
     monkeypatch.setattr(exactalg, "module_simplicity_witness", capped)
     after = {r.check: r.to_json() for r in run_fixture("S3-F2")}
     assert list(after) == list(before)
@@ -243,9 +255,9 @@ def test_effros_hahn_skips_on_a_cap_in_an_induced_module(monkeypatch):
     assert after["effros-hahn"]["status"] == "skip"
     # one cap per simple module of GF(2)[S3]: the trivial one and the plane
     assert after["effros-hahn"]["caps_hit"] == ["capped for the test"] * 2
-    # the radical of Gamma, an expectation, skips on the same cap
-    assert {k for k in before if after[k] != before[k]} == {
-        "effros-hahn", "S3-F2:radical_dim"}
+    # no other report asks a B_x-module outside a meataxe, so the radical
+    # of Gamma, which skipped when Gamma-modules were capped, still passes
+    assert {k for k in before if after[k] != before[k]} == {"effros-hahn"}
 
 
 def stalk_quotients(conv):
@@ -266,30 +278,221 @@ def stalk_quotients(conv):
     return keys
 
 
-@pytest.mark.parametrize("name", ["MIX", "T1-3-F3", "P2+Z3/F@3"])
-def test_effros_hahn_induces_each_stalk_quotient_once(monkeypatch, name):
-    # part (1) induces (Gamma/I)_x once per distinct (x, e_x I), and never
-    # a zero quotient; part (2) passes its induced module in
+def effros_hahn_inductions(monkeypatch, name):
+    """verify_effros_hahn on the named catalog sheaf or lattice shape,
+    with the (x, module) of every induce call, split into part (1)'s,
+    made before the first simple isotropy modules are found, and part
+    (2)'s."""
     if "@" in name:
         conv = lattice_conv(name)
     else:
         conv = build_conv_algebra(*get_fixture(name).build())
-    quotients = []
-    real = induction.annihilator_induced
+    parts = ([], [])
+    real_induce = induction.induce
+    real_meataxe = exactalg.meataxe_simple_quotients
+    in_part_two = []
 
-    def counted(conv, x, M, T=None, ind=None):
-        if ind is None:
-            quotients.append((x, M))
-        return real(conv, x, M, T, ind)
+    def counted(conv, x, M, T=None):
+        parts[bool(in_part_two)].append((x, M))
+        return real_induce(conv, x, M, T)
 
-    monkeypatch.setattr(induction, "annihilator_induced", counted)
+    def meataxe(M):
+        simples = real_meataxe(M)
+        in_part_two.extend(simples)
+        return simples
+
+    monkeypatch.setattr(induction, "induce", counted)
+    monkeypatch.setattr(exactalg, "meataxe_simple_quotients", meataxe)
     assert verify_effros_hahn(conv).passed is True
+    return conv, parts, len(in_part_two)
+
+
+@pytest.mark.parametrize("name", ["MIX", "T1-3-F3", "P2+Z3/F@3"])
+def test_effros_hahn_induces_each_stalk_quotient_once(monkeypatch, name):
+    # part (1) induces (Gamma/I)_x once per distinct (x, e_x I), and never
+    # a zero quotient
+    conv, (quotients, _), _ = effros_hahn_inductions(monkeypatch, name)
     assert all(M.dim > 0 for _, M in quotients)
     seen = {(x, M.dim, str(M.mats)) for x, M in quotients}
     assert len(seen) == len(quotients)
     assert len(quotients) == len(stalk_quotients(conv))
     # one induction per proper ideal and unit would be 15, 21 and 21
     assert len(quotients) == {"MIX": 4, "T1-3-F3": 3, "P2+Z3/F@3": 5}[name]
+
+
+@pytest.mark.parametrize("name", ["MIX", "T1-3-F3", "P2+Z3/F@3", "S3/F@2"])
+def test_effros_hahn_reuses_part_one_modules_in_part_two(monkeypatch, name):
+    # a simple isotropy module of part (2) that equals a stalk quotient of
+    # part (1), action matrices and all, is not induced again
+    _, (first, second), simples = effros_hahn_inductions(monkeypatch, name)
+    keys = [(x, str(M.mats)) for x, M in first + second]
+    assert len(set(keys)) == len(keys)
+    # the simples of part (2), and how many of them it induced itself
+    assert (simples, len(second)) == {
+        "MIX": (3, 2), "T1-3-F3": (3, 0), "P2+Z3/F@3": (3, 2),
+        "S3/F@2": (2, 1)}[name]
+
+
+def finite_field_sheaf_convs():
+    """(name, Gamma) for every GF(p) catalog sheaf and lattice shape."""
+    for name in catalog_names():
+        if get_fixture(name).kind == "sheaf":
+            conv = build_conv_algebra(*get_fixture(name).build())
+            if conv.field.is_finite:
+                yield name, conv
+    for spec in LATTICE_SHAPES:
+        yield spec, lattice_conv(spec)
+
+
+def test_induced_modules_match_the_gamma_side_oracles(monkeypatch):
+    # every module Effros-Hahn induces, certified through Phi_x and its
+    # B_x-module alone, also passes the module axioms over Gamma, and the
+    # base-stalk simplicity answer is the point scan's over Gamma
+    induced = []
+    real = induction.induce
+
+    def recording(conv, x, M, T=None):
+        ind = real(conv, x, M, T)
+        induced.append((conv, x, M, T, ind))
+        return ind
+
+    monkeypatch.setattr(induction, "induce", recording)
+    names = 0
+    for name, conv in finite_field_sheaf_convs():
+        assert verify_effros_hahn(conv).passed in (True, None), name
+        names += 1
+    assert names == 24 and len(induced) >= 100
+    answers = set()
+    for conv, x, M, T, ind in induced:
+        assert ind.validate() == []
+        simple = induction.induced_simplicity_witness(conv, x, M, T, ind)
+        assert (simple is None) == is_simple_module(ind)
+        if simple is not None:
+            assert exactalg.is_submodule(ind, simple)
+            assert not simple.is_zero() and not simple.is_full()
+        answers.add(simple is None)
+    assert answers == {True, False}
+
+
+def twisted_p2_conv():
+    """P2 with GF(4) stalks whose two non-identity arrows square: the
+    transversal arrow u1 -> u2 acts by a nontrivial alpha."""
+    G = pair_groupoid(2)
+    f = GF(2)
+    alpha = {a: linalg.identity_matrix(f, 2) if G.src[a] == G.dst[a]
+             else frobenius_matrix() for a in G.arrows}
+    O = GSheafOfAlgebras(G, f, {u: f4_algebra() for u in G.units}, alpha)
+    return build_conv_algebra(G, O)
+
+
+def test_induction_map_is_certified(monkeypatch):
+    conv = twisted_p2_conv()
+    B = isotropy_ring(conv, "u1")
+    T = Transversal.canonical(conv, "u1")
+    phi = T.induction_map(conv, B)
+    assert phi.violations() == []
+    assert T.induction_map(conv, B) is phi          # once per transversal
+    other = isotropy_ring(conv, "u1")               # and per algebra
+    assert T.induction_map(conv, other).B is other
+    S = exactalg.regular_module(B)
+    assert induce(conv, "u1", S, T).validate() == []
+    # alpha dropped from the displaced elements
+    monkeypatch.setattr(conv.sheaf, "apply", lambda arrow, v: list(v))
+    with pytest.raises(CheckFailure, match="not a unital ring homomorphism"):
+        Transversal.canonical(conv, "u1").induction_map(conv, B)
+
+
+def test_induction_map_rejects_a_wrong_transversal_arrow(monkeypatch):
+    # one entry displaced along b21 while the others go along a21
+    conv = conv_of(z2_bundle_over_p2())
+    B = isotropy_ring(conv, "u1")
+    other = Transversal(conv, "u1", {"u1": "u1", "u2": "b21"})
+    real = induction._displaced
+
+    def wrong(conv, T, B, zeta, i):
+        return real(conv, other if zeta == "a12" else T, B, zeta, i)
+
+    T = Transversal(conv, "u1", {"u1": "u1", "u2": "a21"})
+    assert T.induction_map(conv, B).violations() == []
+    monkeypatch.setattr(induction, "_displaced", wrong)
+    with pytest.raises(CheckFailure, match="not a unital ring homomorphism"):
+        Transversal(conv, "u1", {"u1": "u1", "u2": "a21"}).induction_map(
+            conv, B)
+
+
+def test_induction_map_rejects_a_homomorphism_off_the_corner(monkeypatch):
+    # Phi = 0 is multiplicative but not unital; Phi = u Phi u^-1 for a
+    # unit u of B_x = M_2(GF(2)) outside the centre is a unital
+    # homomorphism that moves the corner, so B_x would not act on the
+    # base slot as on the module
+    conv = galois_conv()
+    B = isotropy_ring(conv, "x")
+    f = conv.field
+    real = induction._displaced
+    monkeypatch.setattr(induction, "_displaced",
+                        lambda conv, T, B, zeta, i: [f.zero] * B.dim)
+    with pytest.raises(CheckFailure, match="not a unital ring homomorphism"):
+        Transversal.canonical(conv, "x").induction_map(conv, B)
+    u, v = next((list(u), list(v)) for u in B.elements()
+                for v in B.elements()
+                if B.mul(list(u), list(v)) == list(B.unit)
+                and any(B.mul(list(u), B.basis_vector(k))
+                        != B.mul(B.basis_vector(k), list(u))
+                        for k in range(B.dim)))
+    monkeypatch.setattr(induction, "_displaced",
+                        lambda *args: B.mul(B.mul(u, real(*args)), v))
+    with pytest.raises(CheckFailure, match="not its corner element"):
+        Transversal.canonical(conv, "x").induction_map(conv, B)
+
+
+def test_induce_rejects_a_module_that_is_not_one():
+    # every basis element of B_x = M_2(GF(2)) acting as the identity
+    conv = galois_conv()
+    B = isotropy_ring(conv, "x")
+    bad = exactalg.AlgebraModule(B, 2, [[[1, 0], [0, 1]]] * B.dim)
+    with pytest.raises(CheckFailure, match="not a B_x-module"):
+        induce(conv, "x", bad)
+
+
+def test_induced_simplicity_rejects_a_broken_injectivity_block():
+    conv = conv_of(pair_groupoid(2), 3)
+    B = isotropy_ring(conv, "u1")
+    S = exactalg.regular_module(B)
+    T = Transversal.canonical(conv, "u1")
+    ind = induce(conv, "u1", S, T)
+    assert induction.induced_simplicity_witness(conv, "u1", S, T, ind) is None
+    # chi of eta_u2^-1 = a12 carries slot u2 to slot u1; zero that block
+    j = conv.index["a12", 0]
+    mats = [[list(r) for r in X] for X in ind.mats]
+    mats[j][0][1] = 0
+    broken = exactalg.AlgebraModule(conv.algebra, ind.dim, mats)
+    with pytest.raises(CheckFailure, match="injectively"):
+        induction.induced_simplicity_witness(conv, "u1", S, T, broken)
+    # and the same block moved out of the base slot
+    mats[j][1][1] = 1
+    broken = exactalg.AlgebraModule(conv.algebra, ind.dim, mats)
+    with pytest.raises(CheckFailure, match="injectively"):
+        induction.induced_simplicity_witness(conv, "u1", S, T, broken)
+    # chi of eta_u2 = a21 no longer carries the base slot to slot u2
+    mats = [[list(r) for r in X] for X in ind.mats]
+    mats[conv.index["a21", 0]][1][0] = 0
+    broken = exactalg.AlgebraModule(conv.algebra, ind.dim, mats)
+    with pytest.raises(CheckFailure, match="does not generate"):
+        induction.induced_simplicity_witness(conv, "u1", S, T, broken)
+
+
+def test_induced_simplicity_of_a_module_that_splits():
+    # GAL's regular B_x-module is two copies of the plane: the proper
+    # submodule comes from the base stalk's witness, lifted and generated
+    G, O = galois_sheaf()
+    conv = build_conv_algebra(G, O)
+    B = isotropy_ring(conv, "x")
+    M = exactalg.regular_module(B)
+    T = Transversal.canonical(conv, "x")
+    ind = induce(conv, "x", M, T)
+    U = induction.induced_simplicity_witness(conv, "x", M, T, ind)
+    assert U is not None and U.dim == 2
+    assert exactalg.is_submodule(ind, U)
 
 
 def test_regular_stalks_are_built_once_per_algebra(monkeypatch):
