@@ -31,7 +31,6 @@ class ConvAlgebra:
         self.groupoid = groupoid
         self.sheaf = sheaf
         self.algebra = algebra
-        self.index = {lab: i for i, lab in enumerate(algebra.labels)}
 
     @property
     def field(self):
@@ -46,13 +45,14 @@ class ConvAlgebra:
         v = linalg.zero_vector(self.field, self.dim)
         for i, c in enumerate(stalk_vector):
             if c != 0:
-                v[self.index[arrow, i]] = c
+                v[self.algebra.label_index[arrow, i]] = c
         return v
 
     def value_at(self, vec, arrow):
         """The stalk value of a section at one arrow."""
         d = self.sheaf.stalk[self.groupoid.dst[arrow]].dim
-        return [vec[self.index[arrow, i]] for i in range(d)]
+        index = self.algebra.label_index
+        return [vec[index[arrow, i]] for i in range(d)]
 
     def support(self, vec) -> list:
         """Arrows where the section is nonzero."""
@@ -69,7 +69,8 @@ class ConvAlgebra:
             one = self.sheaf.stalk[self.groupoid.dst[a]].unit
             for i, c in enumerate(one):
                 if c != 0:
-                    v[self.index[a, i]] = self.field.add(v[self.index[a, i]], c)
+                    k = self.algebra.label_index[a, i]
+                    v[k] = self.field.add(v[k], c)
         return v
 
     def diagonal_subspace(self) -> Subspace:
@@ -154,7 +155,7 @@ def convolution_eval(conv: ConvAlgebra, fvec, gvec):
     G = conv.groupoid
     O = conv.sheaf
     f = conv.field
-    labels = conv.algebra.labels
+    labels, index = conv.algebra.labels, conv.algebra.label_index
 
     def support(vec):
         return dict.fromkeys(labels[k][0] for k, c in enumerate(vec) if c != 0)
@@ -171,7 +172,7 @@ def convolution_eval(conv: ConvAlgebra, fvec, gvec):
             gamma = G.compose[beta, rho]
             for k, c in enumerate(term):
                 if c != 0:
-                    idx = conv.index[gamma, k]
+                    idx = index[gamma, k]
                     out[idx] = f.add(out[idx], c)
     return out
 

@@ -61,6 +61,7 @@ class Transversal:
         G = conv.groupoid
         self.x = x
         self.orbit = orbit_of(G, x)
+        self.slot = {y: s for s, y in enumerate(self.orbit)}
         self.eta = dict(eta)
         if set(self.eta) != set(self.orbit):
             raise InputError("transversal must pick one arrow per orbit unit")
@@ -125,7 +126,7 @@ class InductionMap:
         G, A = conv.groupoid, conv.algebra
         self.B, self.algebra, self.x = B, A, T.x
         self.loops = set(G.isotropy_arrows(T.x))
-        self.slot = {y: s for s, y in enumerate(T.orbit)}
+        self.slot = T.slot
         self.entries = [
             (self.slot[G.dst[zeta]], self.slot[G.src[zeta]],
              _displaced(conv, T, B, zeta, i))
@@ -294,8 +295,7 @@ def induced_simplicity_witness(conv: ConvAlgebra, x, M: AlgebraModule,
         T = Transversal.canonical(conv, x)
     if ind is None:
         ind = induce(conv, x, M, T)
-    f, G, m = conv.field, conv.groupoid, M.dim
-    slot = {y: s for s, y in enumerate(T.orbit)}
+    f, G, m, slot = conv.field, conv.groupoid, M.dim, T.slot
     base = range(slot[x] * m, (slot[x] + 1) * m)
     W = exactalg.module_simplicity_witness(M)
     if W is not None:
@@ -336,14 +336,12 @@ class ModuleStalks:
 
     Realizes M_x as the image of the idempotent e_x = chi_{x} with its
     echelon basis; beta_gamma is left multiplication by chi_{gamma}, and
-    chi_action[gamma] its matrix on M.  It keeps Gamma_c's groupoid and
-    label index but not the ConvAlgebra, so a memo of it on the
-    ConvAlgebra makes no reference cycle.
+    chi_action[gamma] its matrix on M.
     """
 
     def __init__(self, conv: ConvAlgebra, M: AlgebraModule):
         G, f = conv.groupoid, conv.field
-        self.groupoid, self.field, self.index = G, f, conv.index
+        self.groupoid, self.field = G, f
         self.module = M
         self.chi_action = {a: M.action_matrix(conv.chi([a])) for a in G.arrows}
         self.stalk_space: dict = {}
@@ -384,31 +382,13 @@ class ModuleStalks:
                 bad.append(f"beta[{a}] is not invertible")
         return bad
 
-    def b_x_module(self, x, B: FDAlgebra) -> AlgebraModule:
-        """The stalk at x as a module over the isotropy ring B_x:
-        (a delta) . m = a . beta_delta(m)."""
-        f = self.field
-        sp = self.stalk_space[x]
-        mats = []
-        for (i, delta) in B.labels:
-            P = self.module.mats[self.index[delta, i]]
-            rows = []
-            for v in sp.basis:
-                rows.append(sp.coords_of(linalg.mat_vec(f, P, list(v))))
-            mats.append(linalg.transpose(rows) if rows else [])
-        mod = AlgebraModule(B, sp.dim, mats)
-        bad = mod.validate()
-        if bad:
-            raise CheckFailure("stalk is not a B_x-module: " + bad[0])
-        return mod
-
     def reconstruction_check(self) -> bool:
         """Rebuild the action from the stalks and compare matrices.
 
         The canonical map m |-> (e_x m)_x conjugates the original action
         onto (f . m)(z) = sum over zeta into z of f(zeta) beta_zeta(m(src)).
         """
-        G, M, f, index = self.groupoid, self.module, self.field, self.index
+        G, M, f = self.groupoid, self.module, self.field
         chi_action = self.chi_action
         units = list(G.units)
         offs, total = {}, 0
@@ -430,7 +410,7 @@ class ModuleStalks:
             recon = linalg.zero_matrix(f, total, total)
             # stalk multiplication by the coefficient e_i after beta_zeta:
             # the action of the basis element (unit arrow at z, i)
-            mult = M.mats[index[G.unit_arrow(z), i]]
+            mult = M.mats[M.algebra.label_index[G.unit_arrow(z), i]]
             for c in range(sp_y.dim):
                 v = list(sp_y.basis[c])
                 w = linalg.mat_vec(f, chi_action[zeta], v)
@@ -454,18 +434,30 @@ def module_stalks(conv: ConvAlgebra, M: AlgebraModule) -> ModuleStalks:
     return st
 
 
-def regular_stalks(conv: ConvAlgebra) -> ModuleStalks:
-    """module_stalks of Gamma_c's regular module, built and validated
-    once per convolution algebra."""
-    return exactalg.memoized(conv, "regular stalks", _regular_stalks)
-
-
-def _regular_stalks(conv: ConvAlgebra) -> ModuleStalks:
-    return module_stalks(conv, exactalg.regular_module(conv.algebra))
-
-
 # ---------------------------------------------------------------------------
 # the induced-annihilator structure theorem
+
+
+def regular_stalk(conv: ConvAlgebra, x, B: FDAlgebra):
+    """(block, R_x): the stalk e_x Gamma of the regular module, spanned by
+    the point masses on the arrows into x (the coordinates in block), and
+    that stalk as a B_x-module, on which the basis element (i, delta) of
+    the corner acts as the point mass on delta does on Gamma.  Left
+    multiplication by chi_{x} is certified the 0/1 projection onto block,
+    so e_x v is v restricted to block."""
+    G, A = conv.groupoid, conv.algebra
+    block = [k for k, (zeta, _) in enumerate(A.labels) if G.dst[zeta] == x]
+    zero = linalg.zero_vector(conv.field, A.dim)
+    cols = A.basis_products(conv.chi([G.unit_arrow(x)]), "right")
+    if any(col != (A.basis_vector(k) if k in block else zero)
+           for k, col in enumerate(cols)):
+        raise CheckFailure(f"chi of {x} is not the projection onto the "
+                           f"point masses on arrows into {x}")
+    mats = []
+    for (i, delta) in B.labels:
+        row = A.table[A.label_index[delta, i]]
+        mats.append([[row[c][r] for c in block] for r in block])
+    return block, AlgebraModule(B, len(block), mats)
 
 
 def verify_effros_hahn(conv: ConvAlgebra, seed: int = 0) -> Report:
@@ -477,12 +469,13 @@ def verify_effros_hahn(conv: ConvAlgebra, seed: int = 0) -> Report:
     (3) every maximal two-sided ideal is the annihilator of a module
         induced from a simple isotropy module.
     The ideals come from convalg.two_sided_ideals.  In (1), (Gamma/I)_x
-    is the stalk e_x Gamma of the regular module (regular_stalks)
-    modulo e_x I, whose submodule test quotient_module makes.  Ideals
-    with the same e_x I share (Gamma/I)_x, so each distinct quotient at
-    each unit is induced once per call; a zero quotient (e_x I = e_x
-    Gamma) induces the zero module, whose annihilator Gamma leaves the
-    intersection as it is, and is skipped.  The orbit-sum annihilator
+    is the stalk e_x Gamma of the regular module, a certified coordinate
+    block of Gamma (regular_stalk), modulo e_x I, the same block of I,
+    whose submodule test quotient_module makes.  Ideals with the same
+    e_x I share (Gamma/I)_x, so each distinct quotient at each unit is
+    induced once per call; a zero quotient (e_x I = e_x Gamma) induces
+    the zero module, whose annihilator Gamma leaves the intersection as
+    it is, and is skipped.  The orbit-sum annihilator
     criterion is consistency-checked inside every annihilator_induced
     call.  Each distinct (x, action matrices) is induced and annihilated
     once per call, so a simple module of (2) that equals a stalk
@@ -517,25 +510,23 @@ def verify_effros_hahn(conv: ConvAlgebra, seed: int = 0) -> Report:
                                                     transversals[x], ind)
         return induced[key]
 
-    # (Gamma/I)_x = e_x Gamma / e_x I: the stalks of the regular module
-    # modulo the stalks of each ideal, annihilated once per (x, e_x I)
-    stalks = regular_stalks(conv)
-    R_at = {x: stalks.b_x_module(x, B_at[x]) for x in G.units}
+    # (Gamma/I)_x = e_x Gamma / e_x I: a coordinate block of Gamma modulo
+    # the same block of each ideal, annihilated once per (x, e_x I)
+    stalk_at = {x: regular_stalk(conv, x, B_at[x]) for x in G.units}
     quotient_ann: dict = {}
 
     mismatched = 0
     for I in ideals:
         meet = Subspace.full(f, A.dim)
         for x in G.units:
-            sp = stalks.stalk_space[x]
-            e_x = stalks.chi_action[G.unit_arrow(x)]
-            N = Subspace.from_vectors(f, sp.dim, [
-                sp.coords_of(linalg.mat_vec(f, e_x, list(v))) for v in I.basis])
+            block, R = stalk_at[x]
+            N = Subspace.from_vectors(f, R.dim, [[v[k] for k in block]
+                                                 for v in I.basis])
             if N.is_full():
                 continue
             key = (x, N.basis)
             if key not in quotient_ann:
-                Mx, _ = exactalg.quotient_module(R_at[x], N)
+                Mx, _ = exactalg.quotient_module(R, N)
                 quotient_ann[key] = induced_at(x, Mx)[1]
             meet = meet.intersect(quotient_ann[key])
         if meet != I:
@@ -591,13 +582,14 @@ def check_disintegration(conv: ConvAlgebra,
                          M: AlgebraModule | None = None) -> Report:
     """dim M = sum of stalk dims; beta functorial and invertible; the
     action rebuilt from the stalks matches the original.  Without M, the
-    regular module's disintegration regular_stalks is checked."""
+    regular module is disintegrated."""
+    if M is None:
+        M = exactalg.regular_module(conv.algebra)
     try:
-        st = module_stalks(conv, M) if M is not None else regular_stalks(conv)
+        st = module_stalks(conv, M)
     except CheckFailure as exc:
         return Report(check="disintegration", hypotheses={}, passed=False,
                       witnesses={"error": str(exc)})
-    M = st.module
     dims = {str(u): st.stalk_space[u].dim for u in conv.groupoid.units}
     ok = st.reconstruction_check()
     return Report(check="disintegration", hypotheses={},

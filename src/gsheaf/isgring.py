@@ -980,7 +980,7 @@ def verify_partial_crossed(act: PartialGroupAction, field: Field) -> Report:
     def images(g, a):
         a_hat = linalg.zero_vector(field, conv.dim)
         for x in act.points:
-            a_hat[conv.index[G.unit_arrow(x), 0]] = a[act.pos[x]]
+            a_hat[conv.algebra.label_index[G.unit_arrow(x), 0]] = a[act.pos[x]]
         return a_hat, germ.slice_labels(g)
 
     real = SkewRealization(dual_ring_action(act, field), conv, images)

@@ -16,7 +16,7 @@ from gsheaf.exactalg import (AlgebraModule, FDAlgebra, Subspace,
                              _join_closure, ideal_generated,
                              projective_points)
 from gsheaf.groupoid import FiniteGroupoid
-from gsheaf.induction import Transversal
+from gsheaf.induction import ModuleStalks, Transversal
 from gsheaf.isgring import FiniteInverseSemigroup
 
 VNR_ORDER_CAP = 2**16
@@ -209,6 +209,25 @@ def isotropy_skew_ring(conv: ConvAlgebra, x) -> FDAlgebra:
     if bad:
         raise CheckFailure("isotropy ring fails algebra axioms: " + bad[0])
     return B
+
+
+def b_x_module(st: ModuleStalks, x, B: FDAlgebra) -> AlgebraModule:
+    """The stalk at x of a disintegrated Gamma-module as a module over the
+    isotropy ring B_x, (a delta) . m = a . beta_delta(m), read in the
+    echelon basis of the stalk and validated."""
+    f = st.field
+    sp = st.stalk_space[x]
+    index = st.module.algebra.label_index
+    mats = []
+    for (i, delta) in B.labels:
+        P = st.module.mats[index[delta, i]]
+        rows = [sp.coords_of(linalg.mat_vec(f, P, list(v))) for v in sp.basis]
+        mats.append(linalg.transpose(rows) if rows else [])
+    mod = AlgebraModule(B, sp.dim, mats)
+    bad = mod.validate()
+    if bad:
+        raise CheckFailure("stalk is not a B_x-module: " + bad[0])
+    return mod
 
 
 class SectionBimodule:

@@ -16,10 +16,10 @@ from gsheaf.fixtures import (catalog_names, cyclic_mul, f4_algebra,
                              scalar_algebra, t1_groupoid, z2_bundle_over_p2)
 from gsheaf.induction import (Transversal, annihilator_induced,
                               check_disintegration, induce, isotropy_ring,
-                              module_stalks, regular_stalks,
+                              module_stalks, regular_stalk,
                               verify_effros_hahn)
 from gsheaf.sheaf import GSheafOfAlgebras, constant_sheaf
-from oracles import (SectionBimodule, freeness_isomorphisms,
+from oracles import (SectionBimodule, b_x_module, freeness_isomorphisms,
                      is_simple_module, isotropy_skew_ring)
 from test_exactalg import LATTICE_SHAPES, lattice_conv
 
@@ -462,7 +462,7 @@ def test_induced_simplicity_rejects_a_broken_injectivity_block():
     ind = induce(conv, "u1", S, T)
     assert induction.induced_simplicity_witness(conv, "u1", S, T, ind) is None
     # chi of eta_u2^-1 = a12 carries slot u2 to slot u1; zero that block
-    j = conv.index["a12", 0]
+    j = conv.algebra.label_index["a12", 0]
     mats = [[list(r) for r in X] for X in ind.mats]
     mats[j][0][1] = 0
     broken = exactalg.AlgebraModule(conv.algebra, ind.dim, mats)
@@ -475,7 +475,7 @@ def test_induced_simplicity_rejects_a_broken_injectivity_block():
         induction.induced_simplicity_witness(conv, "u1", S, T, broken)
     # chi of eta_u2 = a21 no longer carries the base slot to slot u2
     mats = [[list(r) for r in X] for X in ind.mats]
-    mats[conv.index["a21", 0]][1][0] = 0
+    mats[conv.algebra.label_index["a21", 0]][1][0] = 0
     broken = exactalg.AlgebraModule(conv.algebra, ind.dim, mats)
     with pytest.raises(CheckFailure, match="does not generate"):
         induction.induced_simplicity_witness(conv, "u1", S, T, broken)
@@ -495,7 +495,7 @@ def test_induced_simplicity_of_a_module_that_splits():
     assert exactalg.is_submodule(ind, U)
 
 
-def test_regular_stalks_are_built_once_per_algebra(monkeypatch):
+def test_effros_hahn_disintegrates_nothing(monkeypatch):
     builds = []
     real = induction.module_stalks
 
@@ -505,20 +505,24 @@ def test_regular_stalks_are_built_once_per_algebra(monkeypatch):
 
     monkeypatch.setattr(induction, "module_stalks", counted)
     conv = build_conv_algebra(*get_fixture("MIX").build())
-    verify_effros_hahn(conv)
-    st = regular_stalks(conv)
+    assert verify_effros_hahn(conv).passed is True
+    assert builds == []
+    # the disintegration report without a module disintegrates the
+    # regular module, once per call
     assert check_disintegration(conv).passed is True
-    assert len(builds) == 1 and st.module is builds[0]
-    assert st.module.mats == exactalg.regular_module(conv.algebra).mats
+    assert len(builds) == 1
+    assert builds[0].mats == exactalg.regular_module(conv.algebra).mats
     # a module passed in is disintegrated on its own
-    assert check_disintegration(conv, st.module).passed is True
+    assert check_disintegration(conv, builds[0]).passed is True
     assert len(builds) == 2
-    # the memo holds no reference back to the convolution algebra, so the
-    # algebra dies with its last reference, without the cycle collector
+    builds.clear()
+    # nothing either check leaves behind refers back to the convolution
+    # algebra, so it dies with its last reference, without the cycle
+    # collector
     ref = weakref.ref(conv)
     gc.disable()
     try:
-        del conv, st
+        del conv
         assert ref() is None
     finally:
         gc.enable()
@@ -534,13 +538,47 @@ def test_module_stalks_of_regular_module():
     assert st.reconstruction_check()
 
 
-def test_stalk_as_isotropy_module():
+def test_regular_stalk_matches_the_disintegration_oracle():
+    # e_x Gamma as a coordinate block against the stalk of the
+    # disintegrated regular module, on every GF(p) catalog sheaf and
+    # lattice shape and on the two rational catalog sheaves
+    convs = [conv for _, conv in finite_field_sheaf_convs()]
+    convs += [build_conv_algebra(*get_fixture(name).build())
+              for name in ("P2-Q", "P3-Q")]
+    units = 0
+    for conv in convs:
+        st = module_stalks(conv, exactalg.regular_module(conv.algebra))
+        blocks = []
+        for x in conv.groupoid.units:
+            B = isotropy_ring(conv, x)
+            block, R = regular_stalk(conv, x, B)
+            ref = b_x_module(st, x, B)
+            assert (R.dim, R.mats) == (ref.dim, ref.mats)
+            assert R.validate() == []
+            blocks.extend(block)
+            units += 1
+        assert sorted(blocks) == list(range(conv.dim))
+    assert (len(convs), units) == (26, 45)
+    # four arrows land at u1 of the Z2 bundle over P2
     conv = conv_of(z2_bundle_over_p2())
-    B = isotropy_ring(conv, "u1")
-    st = module_stalks(conv, exactalg.regular_module(conv.algebra))
-    Mx = st.b_x_module("u1", B)
-    assert Mx.dim == 4                   # four arrows land at u1
-    assert Mx.validate() == []
+    assert regular_stalk(conv, "u1", isotropy_ring(conv, "u1"))[1].dim == 4
+
+
+def test_effros_hahn_rejects_a_chi_that_is_not_the_block_projection(
+        monkeypatch):
+    # chi of u2 (not an orbit corner's unit) replaced by the identity of
+    # Gamma, then by twice the projection onto the arrows into u2
+    conv = conv_of(pair_groupoid(2), 3)
+    real = conv.chi
+    f = conv.field
+    for wrong in (lambda: real(["u1", "u2"]),
+                  lambda: [f.add(c, c) for c in real(["u2"])]):
+        monkeypatch.setattr(conv, "chi", lambda arrows, wrong=wrong:
+                            wrong() if arrows == ["u2"] else real(arrows))
+        with pytest.raises(CheckFailure, match="not the projection"):
+            verify_effros_hahn(conv)
+    monkeypatch.undo()
+    assert verify_effros_hahn(conv).passed is True
 
 
 def test_disintegration_report():
