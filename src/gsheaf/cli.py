@@ -189,9 +189,9 @@ def cmd_induce(args) -> int:
     B = induction.isotropy_ring(conv, args.unit)
     mdoc = schemas.load_json(args.module)
     M = schemas.module_from_doc(mdoc, B)
-    T = induction.Transversal.canonical(conv, args.unit)
-    ind = induction.induce(conv, args.unit, M, T)
-    ann = induction.annihilator_induced(conv, args.unit, M, T, ind)
+    phi = induction.InductionMap.canonical(conv, args.unit, B)
+    ind = induction.induce(phi, M)
+    ann = induction.annihilator_induced(phi, M, ind)
     f = conv.field
     _print({
         "unit": args.unit,
@@ -200,8 +200,7 @@ def cmd_induce(args) -> int:
         "induced_dim": ind.dim,
         "annihilator_dim": ann.dim,
         "annihilator_basis": [[f.encode(c) for c in row] for row in ann.basis],
-        "simple": induction.induced_simplicity_witness(
-            conv, args.unit, M, T, ind) is None,
+        "simple": induction.induced_simplicity_witness(phi, M, ind) is None,
     })
     return 0
 

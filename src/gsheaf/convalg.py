@@ -259,7 +259,7 @@ class OrbitCorner:
     def __init__(self, conv: ConvAlgebra, units):
         A, G = conv.algebra, conv.groupoid
         self.e = conv.chi([G.unit_arrow(x) for x in units])
-        if not exactalg.ideal_generated(A, [self.e], "two",
+        if not exactalg.ideal_generated(A, [self.e],
                                         stop_at_full=True).is_full():
             raise CheckFailure("the orbit corner is not full: "
                                "Gamma e Gamma != Gamma")
@@ -273,7 +273,7 @@ class OrbitCorner:
             for k, c in zip(self.space.pivots, v):
                 w[k] = c
             gens.append(w)
-        return exactalg.ideal_generated(A, gens, "two")
+        return exactalg.ideal_generated(A, gens)
 
     def cut(self, A: FDAlgebra, I: Subspace) -> Subspace:
         """eIe in the corner's coordinates."""

@@ -413,9 +413,9 @@ def num_projective_points(field: Field, dim: int) -> int:
     return (p**dim - 1) // (p - 1) if dim else 0
 
 
-def ideal_generated(A: FDAlgebra, gens, sided: str = "two",
+def ideal_generated(A: FDAlgebra, gens, *,
                     stop_at_full: bool = False) -> Subspace:
-    """Smallest left/right/two-sided ideal containing the generators.
+    """Smallest two-sided ideal containing the generators.
 
     The left ideal L = g + Ag is spanned by the generators and their
     basis products; the two-sided ideal is L + LA = (g + Ag) + (g + Ag)A,
@@ -423,19 +423,15 @@ def ideal_generated(A: FDAlgebra, gens, sided: str = "two",
     single pass suffices.  stop_at_full bails out as soon as the span is
     everything.
     """
-    if sided not in ("left", "right", "two"):
-        raise AlgebraError(f"sided must be left/right/two, got {sided!r}")
     f = A.field
     span = IncrementalSpan(f, A.dim)
 
     def images():
-        first = "right" if sided == "right" else "left"
         for g in gens:
             yield g
-            yield from A.basis_products(g, first)
-        if sided == "two":
-            for row in [list(r) for r in span.rows]:
-                yield from A.basis_products(row, "right")
+            yield from A.basis_products(g, "left")
+        for row in [list(r) for r in span.rows]:
+            yield from A.basis_products(row, "right")
 
     for w in images():
         span.add(w)
@@ -444,13 +440,10 @@ def ideal_generated(A: FDAlgebra, gens, sided: str = "two",
     return Subspace(f, A.dim, span.rows, span.pivots)
 
 
-def is_ideal(A: FDAlgebra, S: Subspace, sided: str = "two") -> bool:
-    """Is S closed under products with A's basis from the given side(s)?"""
-    if sided not in ("left", "right", "two"):
-        raise AlgebraError(f"sided must be left/right/two, got {sided!r}")
+def is_ideal(A: FDAlgebra, S: Subspace) -> bool:
+    """Is S closed under products with A's basis on both sides?"""
     span = S._span()
-    sides = [side for side in ("left", "right") if sided in (side, "two")]
-    return all(span.contains(w) for v in S.basis for side in sides
+    return all(span.contains(w) for v in S.basis for side in ("left", "right")
                for w in A.basis_products(v, side))
 
 
@@ -502,7 +495,7 @@ def _two_sided_ideals(A: FDAlgebra) -> list[Subspace]:
     for P in pieces:
         cols = linalg.transpose(P.basis)
         for c in projective_points(f, P.dim):
-            I = ideal_generated(A, [linalg.mat_vec(f, cols, c)], "two")
+            I = ideal_generated(A, [linalg.mat_vec(f, cols, c)])
             cyclics.setdefault(I.basis, I)
     return _join_closure(A, cyclics)
 
@@ -801,7 +794,7 @@ def simplicity_witness(A: FDAlgebra):
     else:
         J = jacobson_radical(A)
         wit = list(J.basis[0]) if J.basis else None
-    if wit is None or ideal_generated(A, [wit], "two", stop_at_full=True).is_full():
+    if wit is None or ideal_generated(A, [wit], stop_at_full=True).is_full():
         raise CheckFailure("a non-simple algebra has no structural witness "
                            "of a proper ideal")
     return tuple(wit)
@@ -838,7 +831,7 @@ def annihilator(M: AlgebraModule) -> Subspace:
     else:
         ker = linalg.identity_matrix(f, A.dim)
     S = Subspace.from_vectors(f, A.dim, ker)
-    if not is_ideal(A, S, "two"):
+    if not is_ideal(A, S):
         raise CheckFailure("annihilator is not a two-sided ideal")
     return S
 
@@ -1099,7 +1092,7 @@ def _radical_search(A: FDAlgebra) -> Subspace:
 
 def _radical(A: FDAlgebra) -> Subspace:
     J = _radical_search(A)
-    if not is_ideal(A, J, "two"):
+    if not is_ideal(A, J):
         raise CheckFailure("radical candidate is not a two-sided ideal")
     if not is_nilpotent(A, J):
         raise CheckFailure("radical candidate is not nilpotent")
@@ -1212,7 +1205,7 @@ def _centre(A: FDAlgebra) -> Subspace:
 
 def quotient_algebra(A: FDAlgebra, I: Subspace):
     """(A/I, proj matrix). I must be a proper two-sided ideal."""
-    if not is_ideal(A, I, "two"):
+    if not is_ideal(A, I):
         raise AlgebraError("quotient by a non-ideal")
     f = A.field
     proj, _ = quotient_coords(f, I)

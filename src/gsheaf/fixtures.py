@@ -761,7 +761,7 @@ def _measured(rep: Report, read):
 def _sheaf_battery(built, seed: int):
     G, O = built
     conv = build_conv_algebra(G, O)
-    siri = isgring.verify_siri(G, O, conv)
+    siri = isgring.verify_siri(G, O)
     reports = [
         convalg.check_convolution_table(conv),
         convalg.check_bisection_convolution(conv),

@@ -17,7 +17,7 @@ reference):
             (alpha_{eta_z^{-1}}(f(zeta)) delta_{eta_z^{-1} zeta eta_y}) . m
 
 The inner sums are the blocks of one map Phi_x: Gamma_c -> M_k(B_x),
-k = |Orb(x)|, certified a unital ring homomorphism once per transversal
+k = |Orb(x)|, certified a unital ring homomorphism when it is built
 (InductionMap), so Ind_x(M) = (id_k (x) rho_M) o Phi_x is a module once
 M is.  A section f annihilates Ind_x(M) iff each of those inner sums
 lies in the annihilator of M; that criterion is recomputed independently
@@ -49,60 +49,16 @@ def isotropy_ring(conv: ConvAlgebra, x) -> FDAlgebra:
     return convalg.isotropy_corner(conv, [x])[1]
 
 
-class Transversal:
-    """Arrows eta_y: x -> y, one per orbit unit, with eta_x the identity.
-
-    The induction map along it is built and certified on first use
-    (induction_map) and kept here, so every module induced along one
-    transversal shares one certificate.
-    """
-
-    def __init__(self, conv: ConvAlgebra, x, eta: dict):
-        G = conv.groupoid
-        self.x = x
-        self.orbit = orbit_of(G, x)
-        self.slot = {y: s for s, y in enumerate(self.orbit)}
-        self.eta = dict(eta)
-        if set(self.eta) != set(self.orbit):
-            raise InputError("transversal must pick one arrow per orbit unit")
-        if self.eta[x] != G.unit_arrow(x):
-            raise InputError("transversal must send the base unit to its identity")
-        for y, a in self.eta.items():
-            if G.src[a] != x or G.dst[a] != y:
-                raise InputError(f"transversal arrow for {y} is not x -> y")
-        self._phi = None
-
-    @classmethod
-    def canonical(cls, conv: ConvAlgebra, x):
-        """Least arrow x -> y in arrow input order, identity at x."""
-        G = conv.groupoid
-        eta = {x: G.unit_arrow(x)}
-        for y in orbit_of(G, x):
-            if y == x:
-                continue
-            between = G.arrows_between(x, y)
-            if not between:
-                raise CheckFailure("orbit unit unreachable by an arrow")
-            eta[y] = min(between, key=G.arrow_index.get)
-        return cls(conv, x, eta)
-
-    def induction_map(self, conv: ConvAlgebra, B: FDAlgebra) -> "InductionMap":
-        """Phi_x into M_k(B), certified once per algebra B."""
-        phi = self._phi
-        if phi is None or phi.B is not B or phi.algebra is not conv.algebra:
-            phi = self._phi = InductionMap(conv, self, B)
-        return phi
-
-
-def _displaced(conv: ConvAlgebra, T: Transversal, B: FDAlgebra, zeta, i):
+def _displaced(phi: "InductionMap", zeta, i):
     """The element alpha_{eta_z^-1}(e_i) delta of B_x, with
     delta = eta_z^-1 zeta eta_y, that the point mass e_i on zeta: y -> z
     moves back to x along the transversal."""
+    conv, B = phi.conv, phi.B
     G, O, f = conv.groupoid, conv.sheaf, conv.field
     y, z = G.src[zeta], G.dst[zeta]
-    eta_z_inv = G.inverse[T.eta[z]]
+    eta_z_inv = G.inverse[phi.eta[z]]
     b = O.apply(eta_z_inv, O.stalk[z].basis_vector(i))
-    delta = G.compose[G.compose[eta_z_inv, zeta], T.eta[y]]
+    delta = G.compose[G.compose[eta_z_inv, zeta], phi.eta[y]]
     bvec = linalg.zero_vector(f, B.dim)
     for k, c in enumerate(b):
         if c != 0:
@@ -113,23 +69,34 @@ def _displaced(conv: ConvAlgebra, T: Transversal, B: FDAlgebra, zeta, i):
 class InductionMap:
     """Phi_x: Gamma_c -> M_k(B_x) along a transversal, k = |Orb(x)|.
 
-    The point mass e_i on zeta: y -> z goes to E_{z,y} (x) d(zeta, i),
-    d the displaced element (_displaced); sections on arrows outside the
-    orbit go to 0.  entries[j] is (slot of z, slot of y, d) for the j-th
-    basis section, or None.  The constructor certifies Phi_x a unital
-    ring homomorphism that restricts to the identity of B_x on the corner
+    The transversal eta picks one arrow eta_y: x -> y per orbit unit y,
+    with eta_x the identity; slot[y] is y's place in the orbit.  The
+    point mass e_i on zeta: y -> z goes to E_{z,y} (x) d(zeta, i), d the
+    displaced element (_displaced); sections on arrows outside the orbit
+    go to 0.  entries[j] is (slot of z, slot of y, d) for the j-th basis
+    section, or None.  The constructor certifies Phi_x a unital ring
+    homomorphism that restricts to the identity of B_x on the corner
     1_x Gamma_c 1_x, so Ind_x(M) = (id_k (x) rho_M) o Phi_x is a
     Gamma_c-module for every B_x-module M.
     """
 
-    def __init__(self, conv: ConvAlgebra, T: Transversal, B: FDAlgebra):
+    def __init__(self, conv: ConvAlgebra, x, B: FDAlgebra, eta: dict):
         G, A = conv.groupoid, conv.algebra
-        self.B, self.algebra, self.x = B, A, T.x
-        self.loops = set(G.isotropy_arrows(T.x))
-        self.slot = T.slot
+        self.conv, self.x, self.B = conv, x, B
+        self.orbit = orbit_of(G, x)
+        self.slot = {y: s for s, y in enumerate(self.orbit)}
+        self.eta = dict(eta)
+        if set(self.eta) != set(self.orbit):
+            raise InputError("transversal must pick one arrow per orbit unit")
+        if self.eta[x] != G.unit_arrow(x):
+            raise InputError("transversal must send the base unit to its identity")
+        for y, a in self.eta.items():
+            if G.src[a] != x or G.dst[a] != y:
+                raise InputError(f"transversal arrow for {y} is not x -> y")
+        self.loops = set(G.isotropy_arrows(x))
         self.entries = [
             (self.slot[G.dst[zeta]], self.slot[G.src[zeta]],
-             _displaced(conv, T, B, zeta, i))
+             _displaced(self, zeta, i))
             if G.src[zeta] in self.slot else None
             for (zeta, i) in A.labels]
         bad = self.violations()
@@ -137,13 +104,27 @@ class InductionMap:
             raise CheckFailure("induction map is not a unital ring "
                                "homomorphism: " + bad[0])
 
+    @classmethod
+    def canonical(cls, conv: ConvAlgebra, x, B: FDAlgebra) -> "InductionMap":
+        """Along the least arrow x -> y in arrow input order, identity at x."""
+        G = conv.groupoid
+        eta = {x: G.unit_arrow(x)}
+        for y in orbit_of(G, x):
+            if y == x:
+                continue
+            between = G.arrows_between(x, y)
+            if not between:
+                raise CheckFailure("orbit unit unreachable by an arrow")
+            eta[y] = min(between, key=G.arrow_index.get)
+        return cls(conv, x, B, eta)
+
     def violations(self) -> list[str]:
         """Phi(b_i) Phi(b_j) = sum_k t_ijk Phi(b_k) on the basis pairs
         where either side can be nonzero: those with b_i b_j != 0 in
         Gamma's table and those with E_{z_i,y_i} E_{z_j,y_j} != 0.  Then
         Phi(1) = 1 and Phi(e_i on delta) = e_(i, delta) for every loop
         delta at x."""
-        A, B, f = self.algebra, self.B, self.B.field
+        A, B, f = self.conv.algebra, self.B, self.B.field
         table, btable = A.nonzero_table(), B.nonzero_table()
         # (slot of z, slot of y, nonzero coordinates of d), or None
         sparse = [None if e is None else
@@ -196,8 +177,7 @@ class InductionMap:
         return bad
 
 
-def induce(conv: ConvAlgebra, x, M: AlgebraModule,
-           T: Transversal | None = None) -> AlgebraModule:
+def induce(phi: InductionMap, M: AlgebraModule) -> AlgebraModule:
     """Ind_x(M) for a left B_x-module M, as a Gamma_c-module.
 
     Carrier: one copy of M per orbit unit (basis labels (y, k) in orbit
@@ -206,14 +186,13 @@ def induce(conv: ConvAlgebra, x, M: AlgebraModule,
     docstring.  It is a Gamma_c-module because Phi_x is certified a
     unital ring homomorphism (InductionMap) and M is validated over B_x.
     """
-    if T is None:
-        T = Transversal.canonical(conv, x)
-    phi = T.induction_map(conv, M.algebra)
+    if M.algebra is not phi.B:
+        raise CheckFailure("module is not over the induction map's B_x")
     bad = M.validate()
     if bad:
         raise CheckFailure("module is not a B_x-module: " + bad[0])
-    f, m = conv.field, M.dim
-    dim = len(T.orbit) * m
+    f, m = phi.conv.field, M.dim
+    dim = len(phi.orbit) * m
     mats = []
     for entry in phi.entries:
         Mat = linalg.zero_matrix(f, dim, dim)
@@ -226,13 +205,12 @@ def induce(conv: ConvAlgebra, x, M: AlgebraModule,
                     if act[r][c] != 0:
                         Mat[ro + r][co + c] = act[r][c]
         mats.append(Mat)
-    return AlgebraModule(conv.algebra, dim, mats)
+    return AlgebraModule(phi.conv.algebra, dim, mats)
 
 
-def annihilator_induced(conv: ConvAlgebra, x, M: AlgebraModule,
-                        T: Transversal | None = None,
-                        ind: AlgebraModule | None = None) -> Subspace:
-    """Annihilator of Ind_x(M), computed two independent ways.
+def annihilator_induced(phi: InductionMap, M: AlgebraModule,
+                        ind: AlgebraModule) -> Subspace:
+    """Annihilator of ind = Ind_x(M), computed two independent ways.
 
     Directly from the induced action matrices, and through the orbit-sum
     criterion (each inner sum lands in Ann_{B_x}(M)): a section f
@@ -240,14 +218,9 @@ def annihilator_induced(conv: ConvAlgebra, x, M: AlgebraModule,
     B_x / Ann(M), so the criterion's rows are read off Phi_x.  Any
     mismatch is a hard failure.
     """
-    f = conv.field
-    if T is None:
-        T = Transversal.canonical(conv, x)
-    if ind is None:
-        ind = induce(conv, x, M, T)
+    f, n = phi.conv.field, phi.conv.dim
     direct = exactalg.annihilator(ind)
 
-    phi = T.induction_map(conv, M.algebra)
     projB, _ = exactalg.quotient_coords(f, exactalg.annihilator(M))
     # one row per block (z, y) and quotient coordinate: the linear map
     # Gamma_c -> B_x / Ann(M) of the orbit sum and the quotient projection
@@ -258,26 +231,23 @@ def annihilator_induced(conv: ConvAlgebra, x, M: AlgebraModule,
         col = linalg.mat_vec(f, projB, entry[2])
         rows = blocks.get(entry[:2])
         if rows is None:
-            rows = blocks[entry[:2]] = [linalg.zero_vector(f, conv.dim)
-                                        for _ in col]
+            rows = blocks[entry[:2]] = [linalg.zero_vector(f, n) for _ in col]
         for row, c in zip(rows, col):
             row[j] = c
     rows = [row for block in blocks.values() for row in block]
     if rows:
-        criterion = Subspace.from_vectors(
-            f, conv.dim, linalg.kernel_basis(f, rows, conv.dim))
+        criterion = Subspace.from_vectors(f, n, linalg.kernel_basis(f, rows, n))
     else:
-        criterion = Subspace.full(f, conv.dim)
+        criterion = Subspace.full(f, n)
     if criterion != direct:
         raise CheckFailure("orbit-sum annihilator criterion disagrees with "
                            "the direct annihilator")
     return direct
 
 
-def induced_simplicity_witness(conv: ConvAlgebra, x, M: AlgebraModule,
-                               T: Transversal | None = None,
-                               ind: AlgebraModule | None = None):
-    """None when Ind_x(M) is simple; else a proper nonzero submodule.
+def induced_simplicity_witness(phi: InductionMap, M: AlgebraModule,
+                               ind: AlgebraModule):
+    """None when ind = Ind_x(M) is simple; else a proper nonzero submodule.
 
     Decided on the base stalk.  Slot y of Ind_x(M) is e_y Ind_x(M), and
     the corner B_x acts on slot x as on M (both part of Phi_x's
@@ -291,12 +261,9 @@ def induced_simplicity_witness(conv: ConvAlgebra, x, M: AlgebraModule,
     CheckFailure.  The scan of module_simplicity_witness runs on M, not
     on Ind_x(M).
     """
-    if T is None:
-        T = Transversal.canonical(conv, x)
-    if ind is None:
-        ind = induce(conv, x, M, T)
-    f, G, m, slot = conv.field, conv.groupoid, M.dim, T.slot
-    base = range(slot[x] * m, (slot[x] + 1) * m)
+    conv, slot, m = phi.conv, phi.slot, M.dim
+    f, G = conv.field, conv.groupoid
+    base = range(slot[phi.x] * m, (slot[phi.x] + 1) * m)
     W = exactalg.module_simplicity_witness(M)
     if W is not None:
         lifted = []
@@ -311,7 +278,7 @@ def induced_simplicity_witness(conv: ConvAlgebra, x, M: AlgebraModule,
                                "generates no proper induced submodule")
         return U
     carried = []
-    for y, eta in T.eta.items():
+    for y, eta in phi.eta.items():
         out = ind.action_matrix(conv.chi([eta]))
         carried.extend([row[c] for row in out] for c in base)
         back = ind.action_matrix(conv.chi([G.inverse[eta]]))
@@ -468,10 +435,11 @@ def verify_effros_hahn(conv: ConvAlgebra, seed: int = 0) -> Report:
     (2) inducing any simple B_x-module yields a simple Gamma_c-module;
     (3) every maximal two-sided ideal is the annihilator of a module
         induced from a simple isotropy module.
-    The ideals come from convalg.two_sided_ideals.  In (1), (Gamma/I)_x
-    is the stalk e_x Gamma of the regular module, a certified coordinate
-    block of Gamma (regular_stalk), modulo e_x I, the same block of I,
-    whose submodule test quotient_module makes.  Ideals with the same
+    The ideals come from convalg.two_sided_ideals, and Phi_x along the
+    canonical transversal is built and certified once per unit.  In (1),
+    (Gamma/I)_x is the stalk e_x Gamma of the regular module, a certified
+    coordinate block of Gamma (regular_stalk), modulo e_x I, the same
+    block of I, whose submodule test quotient_module makes.  Ideals with the same
     e_x I share (Gamma/I)_x, so each distinct quotient at each unit is
     induced once per call; a zero quotient (e_x I = e_x Gamma) induces
     the zero module, whose annihilator Gamma leaves the intersection as
@@ -495,8 +463,8 @@ def verify_effros_hahn(conv: ConvAlgebra, seed: int = 0) -> Report:
         rep.caps_hit.append(str(exc))
         return rep
 
-    B_at = {x: isotropy_ring(conv, x) for x in G.units}
-    transversals = {x: Transversal.canonical(conv, x) for x in G.units}
+    maps = {x: InductionMap.canonical(conv, x, isotropy_ring(conv, x))
+            for x in G.units}
     induced: dict = {}
 
     def induced_at(x, M):
@@ -505,14 +473,13 @@ def verify_effros_hahn(conv: ConvAlgebra, seed: int = 0) -> Report:
         in (2) as a simple B_x-module."""
         key = (x, tuple(tuple(map(tuple, X)) for X in M.mats))
         if key not in induced:
-            ind = induce(conv, x, M, transversals[x])
-            induced[key] = ind, annihilator_induced(conv, x, M,
-                                                    transversals[x], ind)
+            ind = induce(maps[x], M)
+            induced[key] = ind, annihilator_induced(maps[x], M, ind)
         return induced[key]
 
     # (Gamma/I)_x = e_x Gamma / e_x I: a coordinate block of Gamma modulo
     # the same block of each ideal, annihilated once per (x, e_x I)
-    stalk_at = {x: regular_stalk(conv, x, B_at[x]) for x in G.units}
+    stalk_at = {x: regular_stalk(conv, x, maps[x].B) for x in G.units}
     quotient_ann: dict = {}
 
     mismatched = 0
@@ -538,18 +505,16 @@ def verify_effros_hahn(conv: ConvAlgebra, seed: int = 0) -> Report:
     inventory: list[Subspace] = []
     inventory_keys = set()
     for x in G.units:
-        B = B_at[x]
         try:
             simples = exactalg.meataxe_simple_quotients(
-                exactalg.regular_module(B))
+                exactalg.regular_module(maps[x].B))
         except CapExceeded as exc:
             rep.caps_hit.append(str(exc))
             continue
         for S in simples:
             try:
                 ind, ann = induced_at(x, S)
-                simple = induced_simplicity_witness(
-                    conv, x, S, transversals[x], ind) is None
+                simple = induced_simplicity_witness(maps[x], S, ind) is None
             except CapExceeded as exc:
                 rep.caps_hit.append(str(exc))
                 continue

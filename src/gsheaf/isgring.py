@@ -179,7 +179,7 @@ def validate_ring_action(act: SpectralRingAction) -> list[str]:
     for s in S.elements:
         if s not in act.domain or s not in act.alpha:
             return [f"missing domain or alpha for {s}"]
-        if not exactalg.is_ideal(A, act.domain[s], "two"):
+        if not exactalg.is_ideal(A, act.domain[s]):
             return [f"D_{s} is not a two-sided ideal"]
     for s in S.elements:
         Dsrc, Ddst = act.domain[S.star[s]], act.domain[s]
@@ -648,14 +648,13 @@ def check_orbit_correspondence(act: SpaceAction) -> Report:
                   passed=a == g)
 
 
-def check_simpleaction(act: SpaceAction, O: GSheafOfAlgebras | None = None,
-                       p: int = 2) -> Report:
+def check_simpleaction(act: SpaceAction, p: int = 2) -> Report:
     """Minimality of a topologically free action vs simplicity of the
-    convolution algebra of its germ groupoid (sheaf of fields)."""
+    convolution algebra of its germ groupoid, with constant GF(p)
+    stalks (a sheaf of fields)."""
     from .fields import GF
     germ = germ_groupoid(act)
-    if O is None:
-        O = constant_sheaf(germ.groupoid, exactalg.scalar_algebra(GF(p)))
+    O = constant_sheaf(germ.groupoid, exactalg.scalar_algebra(GF(p)))
     hyp = {
         "action topologically free": is_topologically_free(act),
         "sheaf of fields": is_sheaf_of_fields(O),
@@ -713,16 +712,13 @@ def bisection_ring_action(conv: ConvAlgebra, bisections):
             member, embed)
 
 
-def siri_data(G: FiniteGroupoid, O: GSheafOfAlgebras,
-              conv: ConvAlgebra | None = None) -> SkewRealization:
+def siri_data(G: FiniteGroupoid, O: GSheafOfAlgebras) -> SkewRealization:
     """Skew ring of the bisection action, with its map into Gamma_c,
     which sends a delta_U to the convolution a * chi_U.  The semigroup
     is the wide one of arrow singletons, the unit space and the empty
-    bisection (Exel 2008; Steinberg 2010).  Without conv,
-    build_conv_algebra returns the Gamma_c the caller built, or builds
-    it."""
-    if conv is None:
-        conv = build_conv_algebra(G, O)
+    bisection (Exel 2008; Steinberg 2010).  build_conv_algebra returns
+    the Gamma_c the caller built, or builds it."""
+    conv = build_conv_algebra(G, O)
     units = {G.unit_arrow(u) for u in G.units}
     wide = bisection_semigroup(G, generators=[{a} for a in G.arrows]
                                + [units])
@@ -734,11 +730,10 @@ def siri_data(G: FiniteGroupoid, O: GSheafOfAlgebras,
     return SkewRealization(act, conv, images, member=member)
 
 
-def verify_siri(G: FiniteGroupoid, O: GSheafOfAlgebras,
-                conv: ConvAlgebra | None = None) -> Report:
+def verify_siri(G: FiniteGroupoid, O: GSheafOfAlgebras) -> Report:
     """The convolution algebra is the skew ring of its bisection action."""
     try:
-        real = siri_data(G, O, conv)
+        real = siri_data(G, O)
     except CheckFailure as exc:
         return Report(check="siri", passed=False,
                       witnesses={"error": str(exc)})
@@ -988,7 +983,7 @@ def verify_partial_crossed(act: PartialGroupAction, field: Field) -> Report:
         raise CheckFailure("group-indexed relation ideal is nonzero")
     iso = real.is_ring_iso()
 
-    sub = verify_siri(G, O, conv)
+    sub = verify_siri(G, O)
     return Report(
         check="partial-crossed", hypotheses={},
         lhs={"dim skew ring": real.skew.quotient.dim},

@@ -303,8 +303,7 @@ def module_label(label) -> str:
     return str(label)
 
 
-def module_from_doc(doc: dict, algebra: FDAlgebra,
-                    base_dir: str = ".") -> AlgebraModule:
+def module_from_doc(doc: dict, algebra: FDAlgebra) -> AlgebraModule:
     if doc.get("kind") != "module":
         raise InputError("expected a module document")
     dim = _require(doc, "dim", "module")

@@ -167,13 +167,8 @@ def int_ker_is_units(O: GSheafOfAlgebras) -> bool:
     return set(ker_sheaf(O)) == {G.unit_arrow(u) for u in G.units}
 
 
-def is_field_algebra(A: FDAlgebra) -> bool:
-    """Is the stalk algebra a field?  See exactalg.is_field."""
-    return exactalg.is_field(A)
-
-
 def is_sheaf_of_fields(O: GSheafOfAlgebras) -> bool:
-    return all(is_field_algebra(O.stalk[u]) for u in O.groupoid.units)
+    return all(exactalg.is_field(O.stalk[u]) for u in O.groupoid.units)
 
 
 def diagonal_vnr(O: GSheafOfAlgebras):

@@ -16,7 +16,7 @@ from gsheaf.exactalg import (AlgebraModule, FDAlgebra, Subspace,
                              _join_closure, ideal_generated,
                              projective_points)
 from gsheaf.groupoid import FiniteGroupoid
-from gsheaf.induction import ModuleStalks, Transversal
+from gsheaf.induction import InductionMap, ModuleStalks
 from gsheaf.isgring import FiniteInverseSemigroup
 
 VNR_ORDER_CAP = 2**16
@@ -50,7 +50,7 @@ def scan_simplicity_witness(A: FDAlgebra):
     None when every point generates A, at (p^n - 1)/(p - 1) ideal
     generations."""
     for v in projective_points(A.field, A.dim):
-        if not ideal_generated(A, [v], "two", stop_at_full=True).is_full():
+        if not ideal_generated(A, [v], stop_at_full=True).is_full():
             return tuple(v)
     return None
 
@@ -60,7 +60,7 @@ def scan_two_sided_ideals(A: FDAlgebra) -> list[Subspace]:
     A, at (p^n - 1)/(p - 1) ideal generations."""
     cyclics: dict[tuple, Subspace] = {}
     for v in projective_points(A.field, A.dim):
-        I = ideal_generated(A, [v], "two")
+        I = ideal_generated(A, [v])
         cyclics.setdefault(I.basis, I)
     return _join_closure(A, cyclics)
 
@@ -313,7 +313,7 @@ class SectionBimodule:
         return bad
 
 
-def freeness_isomorphisms(L: SectionBimodule, T: Transversal):
+def freeness_isomorphisms(L: SectionBimodule, T: InductionMap):
     """(Phi, Psi): mutually inverse right-B_x-maps between L_x and the
     free module with basis 1_{eta_y}, y in the orbit.
 

@@ -24,7 +24,7 @@ from gsheaf.fixtures import (catalog_names, get_fixture, frobenius_matrix,
                              natural_i2_action, pair_groupoid, scalar_algebra,
                              swap_action, trivial_z2_action)
 from gsheaf.groupoid import is_effective, is_minimal
-from gsheaf.induction import (Transversal, annihilator_induced,
+from gsheaf.induction import (InductionMap, annihilator_induced,
                               check_disintegration, induce, isotropy_ring,
                               verify_effros_hahn)
 from gsheaf.isgring import (check_cinza, check_orbit_correspondence,
@@ -65,8 +65,9 @@ def fields_stalks(O):
         return None
 
 
-def all_transversals(conv, x):
-    """Every transversal out of x, as a list (product of arrow choices)."""
+def all_transversals(conv, x, B):
+    """The induction map into B along every transversal out of x, as a
+    list (product of arrow choices)."""
     import itertools
     G = conv.groupoid
     from gsheaf.groupoid import orbit_of
@@ -80,7 +81,7 @@ def all_transversals(conv, x):
                                   key=G.arrow_index.get))
     out = []
     for combo in itertools.product(*choices):
-        out.append(Transversal(conv, x, dict(zip(orbit, combo))))
+        out.append(InductionMap(conv, x, B, dict(zip(orbit, combo))))
     return out
 
 
@@ -150,12 +151,12 @@ def test_04_induced_simples_and_transversal_independence():
                     exactalg.regular_module(B))
             except CapExceeded:
                 continue
-            ts = all_transversals(conv, x)
+            ts = all_transversals(conv, x, B)
             if len(ts) > 1:
                 multi += 1
             for S in simples:
-                inds = [induce(conv, x, S, T) for T in ts]
-                anns = [annihilator_induced(conv, x, S, T, ind)
+                inds = [induce(T, S) for T in ts]
+                anns = [annihilator_induced(T, S, ind)
                         for T, ind in zip(ts, inds)]
                 for ind in inds:
                     assert is_simple_module(ind), (name, x, S.dim)
@@ -190,8 +191,9 @@ def test_05_maximal_ideals_are_induced_annihilators():
             except CapExceeded:
                 skipped_units = True
                 continue
+            phi = InductionMap.canonical(conv, x, B)
             for S in simples:
-                inventory.add(annihilator_induced(conv, x, S).basis)
+                inventory.add(annihilator_induced(phi, S, induce(phi, S)).basis)
         if skipped_units:
             continue
         for I in maximal:

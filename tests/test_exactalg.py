@@ -108,7 +108,7 @@ def test_ideal_enumeration_against_subspace_scan(A):
         pytest.skip("scan too large")
     clever = {I.basis for I in enumerate_two_sided_ideals(A)}
     brute = {S.basis for S in enumerate_subspaces(A.field, A.dim)
-             if is_ideal(A, S, "two")}
+             if is_ideal(A, S)}
     assert clever == brute
 
 
@@ -120,14 +120,11 @@ def test_ideal_counts():
     assert len(enumerate_two_sided_ideals(dual_numbers())) == 3
 
 
-def test_is_ideal_rejects_an_unknown_side():
+def test_is_ideal_in_the_dual_numbers():
     A = dual_numbers()
     S = Subspace.from_vectors(A.field, 2, [[1, 0]])  # span{1}
-    assert not is_ideal(A, S, "two")
-    assert is_ideal(A, Subspace.from_vectors(A.field, 2, [[0, 1]]), "two")
-    with pytest.raises(AlgebraError, match="sided must be left/right/two, "
-                                           "got 'both'"):
-        is_ideal(A, S, "both")
+    assert not is_ideal(A, S)
+    assert is_ideal(A, Subspace.from_vectors(A.field, 2, [[0, 1]]))
 
 
 def test_ideal_generated_is_smallest():
@@ -135,23 +132,19 @@ def test_ideal_generated_is_smallest():
     rng = random.Random(0)
     for _ in range(10):
         g = [rng.randrange(2) for _ in range(6)]
-        I = ideal_generated(A, [g], "two")
+        I = ideal_generated(A, [g])
         assert I.contains(g)
-        assert is_ideal(A, I, "two")
+        assert is_ideal(A, I)
         # no smaller ideal contains g
         for J in enumerate_two_sided_ideals(A):
             if J.contains(g):
                 assert all(J.contains(list(b)) for b in I.basis)
 
 
-def test_one_sided_ideals_differ_in_matrix_algebra():
+def test_a_matrix_unit_generates_the_matrix_algebra():
     A = matrix_algebra(GF(2), 2)
     e01 = A.basis_vector(A.label_index["e12"])
-    left = ideal_generated(A, [e01], "left")
-    right = ideal_generated(A, [e01], "right")
-    two = ideal_generated(A, [e01], "two")
-    assert left.dim == 2 and right.dim == 2 and two.dim == 4
-    assert is_ideal(A, left, "left") and not is_ideal(A, left, "two")
+    assert ideal_generated(A, [e01]).dim == 4
 
 
 def test_simplicity():
@@ -239,7 +232,7 @@ def assert_structural_witness(A):
     blocks = exactalg.central_primitive_idempotents(A)
     expect = blocks[0] if len(blocks) > 1 else jacobson_radical(A).basis[0]
     assert list(wit) == list(expect)
-    I = ideal_generated(A, [list(wit)], "two")
+    I = ideal_generated(A, [list(wit)])
     assert not I.is_zero() and not I.is_full()
 
 
@@ -512,7 +505,7 @@ def assert_peirce_enumeration_correct(A):
     assert ideals == [I.basis for I in scan_two_sided_ideals(A)]
     if subspace_count(A.field.order, A.dim) <= 4000:
         brute = sorted((S for S in enumerate_subspaces(A.field, A.dim)
-                        if is_ideal(A, S, "two")), key=Subspace.sort_key)
+                        if is_ideal(A, S)), key=Subspace.sort_key)
         assert ideals == [S.basis for S in brute]
 
 
@@ -533,7 +526,7 @@ def assert_lattice_laws(A, ideals):
     assert Subspace.zero(A.field, A.dim).basis in bases
     assert Subspace.full(A.field, A.dim).basis in bases
     for I in ideals:
-        assert is_ideal(A, I, "two")
+        assert is_ideal(A, I)
         for J in ideals:
             assert I.join(J).basis in bases and I.intersect(J).basis in bases
 
@@ -627,7 +620,7 @@ def test_simplicity_witness_beyond_the_point_budget(build):
     assert not is_simple(A)
     wit = simplicity_witness(A)
     assert not linalg.vec_is_zero(wit)
-    I = ideal_generated(A, [wit], "two")
+    I = ideal_generated(A, [wit])
     assert not I.is_zero() and not I.is_full()
 
 

@@ -121,7 +121,8 @@ def test_report_line_format():
 
 def test_each_fixture_builds_its_skew_ring_once(monkeypatch):
     # the expectations read the battery's reports instead of rebuilding,
-    # SIRI reuses the battery's convolution algebra, and each memoized
+    # SIRI is handed the battery's convolution algebra by
+    # build_conv_algebra instead of building one, and each memoized
     # invariant runs its body once per algebra (and seed); the radical
     # also runs on each stalk object, once, for the vnr checks, and its
     # recheck of A/J runs the uncertified search, uncounted here.  The
@@ -152,7 +153,7 @@ def test_each_fixture_builds_its_skew_ring_once(monkeypatch):
     for name in ("validate_algebra", "_two_sided_ideals",
                  "_density_certificate", "_radical", "_central_idempotents"):
         count(exactalg, name)
-    count(convalg, "build_conv_algebra")
+    count(convalg, "_build")
     count(convalg, "_centralizer_of_diagonal")
     count(convalg, "_orbit_corner")
     count(induction, "module_stalks")
@@ -160,7 +161,7 @@ def test_each_fixture_builds_its_skew_ring_once(monkeypatch):
     assert calls == {"skew_isg_ring": 26, "siri_data": 20, "pierce_data": 3,
                      "pierce_atoms": 3, "dual_ring_action": 3,
                      "_germ_groupoid": 10,
-                     "build_conv_algebra": 26, "validate_algebra": 82,
+                     "_build": 26, "validate_algebra": 82,
                      "_two_sided_ideals": 15, "_density_certificate": 18,
                      "_centralizer_of_diagonal": 17, "_radical": 34,
                      "_central_idempotents": 18, "_orbit_corner": 20,

@@ -14,7 +14,7 @@ from gsheaf.fixtures import (catalog_names, cyclic_mul, f4_algebra,
                              frobenius_matrix, galois_sheaf, get_fixture,
                              group_groupoid, pair_groupoid, run_fixture,
                              scalar_algebra, t1_groupoid, z2_bundle_over_p2)
-from gsheaf.induction import (Transversal, annihilator_induced,
+from gsheaf.induction import (InductionMap, annihilator_induced,
                               check_disintegration, induce, isotropy_ring,
                               module_stalks, regular_stalk,
                               verify_effros_hahn)
@@ -85,17 +85,18 @@ def test_isotropy_ring_is_the_skew_group_ring():
 
 def test_transversal_validation():
     conv = conv_of(z2_bundle_over_p2())
-    T = Transversal.canonical(conv, "u1")
-    assert T.eta == {"u1": "u1", "u2": "a21"}   # least arrow u1 -> u2
-    other = Transversal(conv, "u1", {"u1": "u1", "u2": "b21"})
+    B = isotropy_ring(conv, "u1")
+    phi = InductionMap.canonical(conv, "u1", B)
+    assert phi.eta == {"u1": "u1", "u2": "a21"}   # least arrow u1 -> u2
+    other = InductionMap(conv, "u1", B, {"u1": "u1", "u2": "b21"})
     assert other.eta["u2"] == "b21"
 
     with pytest.raises(InputError):
-        Transversal(conv, "u1", {"u1": "u1"})               # misses u2
+        InductionMap(conv, "u1", B, {"u1": "u1"})               # misses u2
     with pytest.raises(InputError):
-        Transversal(conv, "u1", {"u1": "g1", "u2": "a21"})  # base not identity
+        InductionMap(conv, "u1", B, {"u1": "g1", "u2": "a21"})  # base not identity
     with pytest.raises(InputError):
-        Transversal(conv, "u1", {"u1": "u1", "u2": "a12"})  # wrong direction
+        InductionMap(conv, "u1", B, {"u1": "u1", "u2": "a12"})  # wrong direction
 
 
 def test_section_bimodule_axioms():
@@ -115,7 +116,7 @@ def test_freeness_for_every_transversal():
     B = isotropy_ring(conv, "u1")
     L = SectionBimodule(conv, "u1", B)
     for eta2 in ("a21", "b21"):
-        T = Transversal(conv, "u1", {"u1": "u1", "u2": eta2})
+        T = InductionMap(conv, "u1", B, {"u1": "u1", "u2": eta2})
         Phi, Psi = freeness_isomorphisms(L, T)
         assert len(Phi) == L.dim and len(Psi) == L.dim
     # free rank = number of orbit units: dim L = |orbit| * dim B
@@ -133,15 +134,16 @@ def test_freeness_isomorphisms_give_the_induced_action():
              (conv_of(pair_groupoid(2), 3), "u1", None)]
     for conv, x, eta in cases:
         f = conv.field
-        T = Transversal(conv, x, eta) if eta else Transversal.canonical(conv, x)
         B = isotropy_ring(conv, x)
+        T = (InductionMap(conv, x, B, eta) if eta
+             else InductionMap.canonical(conv, x, B))
         L = SectionBimodule(conv, x, B)
         Phi, Psi = freeness_isomorphisms(L, T)
         blocks = range(len(T.orbit))
         simples = exactalg.meataxe_simple_quotients(exactalg.regular_module(B))
         assert simples
         for S in simples:
-            ind = induce(conv, x, S, T)
+            ind = induce(T, S)
             d = S.dim
             for k in range(conv.dim):
                 for y in blocks:
@@ -161,26 +163,28 @@ def test_induce_galois_regular():
     B = isotropy_ring(conv, "x")
     simples = exactalg.meataxe_simple_quotients(exactalg.regular_module(B))
     assert len(simples) == 1 and simples[0].dim == 2
-    ind = induce(conv, "x", simples[0])
+    phi = InductionMap.canonical(conv, "x", B)
+    ind = induce(phi, simples[0])
     assert ind.dim == 2
     assert is_simple_module(ind)
-    assert annihilator_induced(conv, "x", simples[0], ind=ind).is_zero()
+    assert annihilator_induced(phi, simples[0], ind).is_zero()
 
 
 def test_induce_zero_module_annihilates_everything():
     conv = z2_conv()
     B = isotropy_ring(conv, "e")
     M = exactalg.AlgebraModule(B, 0, [[] for _ in range(B.dim)])
-    ind = induce(conv, "e", M)
+    phi = InductionMap.canonical(conv, "e", B)
+    ind = induce(phi, M)
     assert ind.dim == 0
-    assert annihilator_induced(conv, "e", M, ind=ind).is_full()
+    assert annihilator_induced(phi, M, ind).is_full()
 
 
 def test_induced_module_dim_counts_orbit():
     conv = conv_of(pair_groupoid(2), 3)
     B = isotropy_ring(conv, "u1")
     reg = exactalg.regular_module(B)     # dim 1
-    ind = induce(conv, "u1", reg)
+    ind = induce(InductionMap.canonical(conv, "u1", B), reg)
     assert ind.dim == 2                  # one copy per orbit unit
     assert is_simple_module(ind)
 
@@ -191,14 +195,14 @@ def test_transversal_independence_of_induction():
     B = isotropy_ring(conv, "u1")
     simples = exactalg.meataxe_simple_quotients(exactalg.regular_module(B))
     assert simples
+    T1 = InductionMap(conv, "u1", B, {"u1": "u1", "u2": "a21"})
+    T2 = InductionMap(conv, "u1", B, {"u1": "u1", "u2": "b21"})
     for S in simples:
-        T1 = Transversal(conv, "u1", {"u1": "u1", "u2": "a21"})
-        T2 = Transversal(conv, "u1", {"u1": "u1", "u2": "b21"})
-        ind1 = induce(conv, "u1", S, T1)
-        ind2 = induce(conv, "u1", S, T2)
+        ind1 = induce(T1, S)
+        ind2 = induce(T2, S)
         assert exactalg.simple_modules_isomorphic(ind1, ind2)
-        assert annihilator_induced(conv, "u1", S, T1, ind1) == \
-            annihilator_induced(conv, "u1", S, T2, ind2)
+        assert annihilator_induced(T1, S, ind1) == \
+            annihilator_induced(T2, S, ind2)
 
 
 def test_effros_hahn_small_instances():
@@ -292,9 +296,9 @@ def effros_hahn_inductions(monkeypatch, name):
     real_meataxe = exactalg.meataxe_simple_quotients
     in_part_two = []
 
-    def counted(conv, x, M, T=None):
-        parts[bool(in_part_two)].append((x, M))
-        return real_induce(conv, x, M, T)
+    def counted(phi, M):
+        parts[bool(in_part_two)].append((phi.x, M))
+        return real_induce(phi, M)
 
     def meataxe(M):
         simples = real_meataxe(M)
@@ -351,9 +355,9 @@ def test_induced_modules_match_the_gamma_side_oracles(monkeypatch):
     induced = []
     real = induction.induce
 
-    def recording(conv, x, M, T=None):
-        ind = real(conv, x, M, T)
-        induced.append((conv, x, M, T, ind))
+    def recording(phi, M):
+        ind = real(phi, M)
+        induced.append((phi, M, ind))
         return ind
 
     monkeypatch.setattr(induction, "induce", recording)
@@ -363,9 +367,9 @@ def test_induced_modules_match_the_gamma_side_oracles(monkeypatch):
         names += 1
     assert names == 24 and len(induced) >= 100
     answers = set()
-    for conv, x, M, T, ind in induced:
+    for phi, M, ind in induced:
         assert ind.validate() == []
-        simple = induction.induced_simplicity_witness(conv, x, M, T, ind)
+        simple = induction.induced_simplicity_witness(phi, M, ind)
         assert (simple is None) == is_simple_module(ind)
         if simple is not None:
             assert exactalg.is_submodule(ind, simple)
@@ -388,36 +392,59 @@ def twisted_p2_conv():
 def test_induction_map_is_certified(monkeypatch):
     conv = twisted_p2_conv()
     B = isotropy_ring(conv, "u1")
-    T = Transversal.canonical(conv, "u1")
-    phi = T.induction_map(conv, B)
+    phi = InductionMap.canonical(conv, "u1", B)
     assert phi.violations() == []
-    assert T.induction_map(conv, B) is phi          # once per transversal
-    other = isotropy_ring(conv, "u1")               # and per algebra
-    assert T.induction_map(conv, other).B is other
     S = exactalg.regular_module(B)
-    assert induce(conv, "u1", S, T).validate() == []
+    assert induce(phi, S).validate() == []
+    # Effros-Hahn builds, and so certifies, one map per unit and call,
+    # however many modules it induces at that unit
+    built, induced = [], []
+    real_init, real_induce = InductionMap.__init__, induction.induce
+
+    def counted_init(phi, conv, x, B, eta):
+        built.append(x)
+        real_init(phi, conv, x, B, eta)
+
+    def counted_induce(phi, M):
+        induced.append(phi.x)
+        return real_induce(phi, M)
+
+    monkeypatch.setattr(InductionMap, "__init__", counted_init)
+    monkeypatch.setattr(induction, "induce", counted_induce)
+    for name in ("MIX", "S3-F2", "P2+Z3/F@3"):
+        if "@" in name:
+            other = lattice_conv(name)
+        else:
+            other = build_conv_algebra(*get_fixture(name).build())
+        units = list(other.groupoid.units)
+        for calls in (1, 2):
+            assert verify_effros_hahn(other).passed is True, name
+            assert sorted(built) == sorted(units * calls), name
+        assert len(induced) > 2 * len(units), name
+        built.clear()
+        induced.clear()
+    monkeypatch.undo()
     # alpha dropped from the displaced elements
     monkeypatch.setattr(conv.sheaf, "apply", lambda arrow, v: list(v))
     with pytest.raises(CheckFailure, match="not a unital ring homomorphism"):
-        Transversal.canonical(conv, "u1").induction_map(conv, B)
+        InductionMap.canonical(conv, "u1", B)
 
 
 def test_induction_map_rejects_a_wrong_transversal_arrow(monkeypatch):
     # one entry displaced along b21 while the others go along a21
     conv = conv_of(z2_bundle_over_p2())
     B = isotropy_ring(conv, "u1")
-    other = Transversal(conv, "u1", {"u1": "u1", "u2": "b21"})
+    other = InductionMap(conv, "u1", B, {"u1": "u1", "u2": "b21"})
     real = induction._displaced
 
-    def wrong(conv, T, B, zeta, i):
-        return real(conv, other if zeta == "a12" else T, B, zeta, i)
+    def wrong(phi, zeta, i):
+        return real(other if zeta == "a12" else phi, zeta, i)
 
-    T = Transversal(conv, "u1", {"u1": "u1", "u2": "a21"})
-    assert T.induction_map(conv, B).violations() == []
+    eta = {"u1": "u1", "u2": "a21"}
+    assert InductionMap(conv, "u1", B, eta).violations() == []
     monkeypatch.setattr(induction, "_displaced", wrong)
     with pytest.raises(CheckFailure, match="not a unital ring homomorphism"):
-        Transversal(conv, "u1", {"u1": "u1", "u2": "a21"}).induction_map(
-            conv, B)
+        InductionMap(conv, "u1", B, eta)
 
 
 def test_induction_map_rejects_a_homomorphism_off_the_corner(monkeypatch):
@@ -430,9 +457,9 @@ def test_induction_map_rejects_a_homomorphism_off_the_corner(monkeypatch):
     f = conv.field
     real = induction._displaced
     monkeypatch.setattr(induction, "_displaced",
-                        lambda conv, T, B, zeta, i: [f.zero] * B.dim)
+                        lambda phi, zeta, i: [f.zero] * B.dim)
     with pytest.raises(CheckFailure, match="not a unital ring homomorphism"):
-        Transversal.canonical(conv, "x").induction_map(conv, B)
+        InductionMap.canonical(conv, "x", B)
     u, v = next((list(u), list(v)) for u in B.elements()
                 for v in B.elements()
                 if B.mul(list(u), list(v)) == list(B.unit)
@@ -442,7 +469,7 @@ def test_induction_map_rejects_a_homomorphism_off_the_corner(monkeypatch):
     monkeypatch.setattr(induction, "_displaced",
                         lambda *args: B.mul(B.mul(u, real(*args)), v))
     with pytest.raises(CheckFailure, match="not its corner element"):
-        Transversal.canonical(conv, "x").induction_map(conv, B)
+        InductionMap.canonical(conv, "x", B)
 
 
 def test_induce_rejects_a_module_that_is_not_one():
@@ -451,34 +478,46 @@ def test_induce_rejects_a_module_that_is_not_one():
     B = isotropy_ring(conv, "x")
     bad = exactalg.AlgebraModule(B, 2, [[[1, 0], [0, 1]]] * B.dim)
     with pytest.raises(CheckFailure, match="not a B_x-module"):
-        induce(conv, "x", bad)
+        induce(InductionMap.canonical(conv, "x", B), bad)
+
+
+def test_induce_rejects_a_module_over_another_algebra():
+    # a module over an equal copy of B_x, or over another algebra, is not
+    # one the certified map was built for
+    conv = galois_conv()
+    B = isotropy_ring(conv, "x")
+    phi = InductionMap.canonical(conv, "x", B)
+    for other in (isotropy_ring(conv, "x"), scalar_algebra(GF(2))):
+        with pytest.raises(CheckFailure, match="not over the induction map"):
+            induce(phi, exactalg.regular_module(other))
+    assert induce(phi, exactalg.regular_module(B)).dim == B.dim
 
 
 def test_induced_simplicity_rejects_a_broken_injectivity_block():
     conv = conv_of(pair_groupoid(2), 3)
     B = isotropy_ring(conv, "u1")
     S = exactalg.regular_module(B)
-    T = Transversal.canonical(conv, "u1")
-    ind = induce(conv, "u1", S, T)
-    assert induction.induced_simplicity_witness(conv, "u1", S, T, ind) is None
+    T = InductionMap.canonical(conv, "u1", B)
+    ind = induce(T, S)
+    assert induction.induced_simplicity_witness(T, S, ind) is None
     # chi of eta_u2^-1 = a12 carries slot u2 to slot u1; zero that block
     j = conv.algebra.label_index["a12", 0]
     mats = [[list(r) for r in X] for X in ind.mats]
     mats[j][0][1] = 0
     broken = exactalg.AlgebraModule(conv.algebra, ind.dim, mats)
     with pytest.raises(CheckFailure, match="injectively"):
-        induction.induced_simplicity_witness(conv, "u1", S, T, broken)
+        induction.induced_simplicity_witness(T, S, broken)
     # and the same block moved out of the base slot
     mats[j][1][1] = 1
     broken = exactalg.AlgebraModule(conv.algebra, ind.dim, mats)
     with pytest.raises(CheckFailure, match="injectively"):
-        induction.induced_simplicity_witness(conv, "u1", S, T, broken)
+        induction.induced_simplicity_witness(T, S, broken)
     # chi of eta_u2 = a21 no longer carries the base slot to slot u2
     mats = [[list(r) for r in X] for X in ind.mats]
     mats[conv.algebra.label_index["a21", 0]][1][0] = 0
     broken = exactalg.AlgebraModule(conv.algebra, ind.dim, mats)
     with pytest.raises(CheckFailure, match="does not generate"):
-        induction.induced_simplicity_witness(conv, "u1", S, T, broken)
+        induction.induced_simplicity_witness(T, S, broken)
 
 
 def test_induced_simplicity_of_a_module_that_splits():
@@ -488,9 +527,9 @@ def test_induced_simplicity_of_a_module_that_splits():
     conv = build_conv_algebra(G, O)
     B = isotropy_ring(conv, "x")
     M = exactalg.regular_module(B)
-    T = Transversal.canonical(conv, "x")
-    ind = induce(conv, "x", M, T)
-    U = induction.induced_simplicity_witness(conv, "x", M, T, ind)
+    T = InductionMap.canonical(conv, "x", B)
+    ind = induce(T, M)
+    U = induction.induced_simplicity_witness(T, M, ind)
     assert U is not None and U.dim == 2
     assert exactalg.is_submodule(ind, U)
 

@@ -478,7 +478,8 @@ def test_siri_over_the_wide_semigroup_matches_the_full_one():
             continue
         G, O = get_fixture(name).build()
         conv = build_conv_algebra(G, O)
-        wide = siri_data(G, O, conv)
+        wide = siri_data(G, O)
+        assert wide.conv is conv, name
         assert wide.kills_relations() and wide.is_ring_iso(), name
         assert validate_ring_action(wide.skew.action) == [], name
         wide_runs += 1

@@ -66,6 +66,9 @@ def catalog_objects():
         for A in pair:
             algebras[id(A)] = A
     finite = [A for A in algebras.values() if A.field.is_finite]
+    # build_conv_algebra hands a caller the algebra it already built, so
+    # one algebra may be recorded more than once
+    convs = list({id(c): c for c in convs}.values())
     return [c for c in convs if c.field.is_finite], finite
 
 

@@ -11,8 +11,8 @@ from gsheaf.fixtures import (_diag_f2_squared, cyclic_mul, dual_numbers,
                              f4_algebra, galois_sheaf, group_groupoid,
                              pair_groupoid, scalar_algebra, t1_groupoid)
 from gsheaf.sheaf import (GSheafOfAlgebras, constant_sheaf, diagonal_vnr,
-                          int_ker_is_units, is_field_algebra,
-                          is_sheaf_of_fields, ker_sheaf, require_valid_sheaf, stalks_commutative,
+                          int_ker_is_units, is_sheaf_of_fields, ker_sheaf,
+                          require_valid_sheaf, stalks_commutative,
                           validate_sheaf)
 
 
@@ -109,13 +109,13 @@ def test_ker_sheaf_on_principal_groupoid():
 
 
 def test_is_field_algebra():
-    assert is_field_algebra(scalar_algebra(GF(5)))
-    assert is_field_algebra(f4_algebra())
-    assert is_field_algebra(scalar_algebra(QQ))
-    assert not is_field_algebra(dual_numbers())
-    assert not is_field_algebra(exactalg.matrix_algebra(GF(2), 2))
+    assert exactalg.is_field(scalar_algebra(GF(5)))
+    assert exactalg.is_field(f4_algebra())
+    assert exactalg.is_field(scalar_algebra(QQ))
+    assert not exactalg.is_field(dual_numbers())
+    assert not exactalg.is_field(exactalg.matrix_algebra(GF(2), 2))
     # GF(2) x GF(2) is commutative, unital, but has zero divisors
-    assert not is_field_algebra(_diag_f2_squared())
+    assert not exactalg.is_field(_diag_f2_squared())
 
 
 def test_is_field_algebra_rational_cap():
@@ -126,7 +126,7 @@ def test_is_field_algebra_rational_cap():
                   unit=[one, zero])
     # QQ[x]/(x^2 - 1): commutative, 2-dim over the rationals, undecided here
     with pytest.raises(CapExceeded):
-        is_field_algebra(A)
+        exactalg.is_field(A)
 
 
 def test_sheaf_of_fields_predicate():

@@ -27,7 +27,7 @@ from gsheaf.linalg import IncrementalSpan
 from gsheaf.fixtures import (cyclic_mul, dual_numbers, get_fixture,
                              group_groupoid, pair_groupoid, s3_group,
                              scalar_algebra)
-from gsheaf.induction import induce, isotropy_ring
+from gsheaf.induction import InductionMap, induce, isotropy_ring
 from gsheaf.sheaf import constant_sheaf
 
 FIELDS = [GF(2), GF(3), GF(5), QQ]
@@ -172,11 +172,10 @@ def dense_annihilator(M):
     return S
 
 
-def dense_ideal_generated(A, gens, sided="two", stop_at_full=False):
+def dense_ideal_generated(A, gens, stop_at_full=False):
     """g, b_i g, then g b_j and b_i g b_j: (n + 1)(n + 1) vectors per g."""
     f = A.field
-    L = A.left_basis_mats() if sided != "right" else []
-    R = A.right_basis_mats() if sided != "left" else []
+    L, R = A.left_basis_mats(), A.right_basis_mats()
     span = IncrementalSpan(f, A.dim)
     for g in gens:
         g = list(g)
@@ -189,14 +188,10 @@ def dense_ideal_generated(A, gens, sided="two", stop_at_full=False):
     return Subspace(f, A.dim, span.rows, span.pivots)
 
 
-def dense_is_ideal(A, S, sided="two"):
+def dense_is_ideal(A, S):
     basis = [A.basis_vector(i) for i in range(A.dim)]
-    for v in S.basis:
-        if sided != "right" and not all(S.contains(A.mul(b, v)) for b in basis):
-            return False
-        if sided != "left" and not all(S.contains(A.mul(v, b)) for b in basis):
-            return False
-    return True
+    return all(S.contains(A.mul(b, v)) and S.contains(A.mul(v, b))
+               for v in S.basis for b in basis)
 
 
 def dense_join_closure(A, cyclics):
@@ -515,13 +510,11 @@ def test_ideal_generated_and_is_ideal_match_dense(f, density):
         gen_sets = [[A.basis_vector(0)]] + [
             [vector(rng, f, A.dim, density) for _ in range(k)] for k in (1, 3)]
         for gens in gen_sets:
-            for sided in ("left", "right", "two"):
-                for stop in (False, True):
-                    I = exactalg.ideal_generated(A, gens, sided, stop_at_full=stop)
-                    assert I == dense_ideal_generated(A, gens, sided, stop_at_full=stop)
-                for S in (I, random_subspace(rng, f, A.dim, density)):
-                    for side in ("left", "right", "two"):
-                        assert exactalg.is_ideal(A, S, side) == dense_is_ideal(A, S, side)
+            for stop in (False, True):
+                I = exactalg.ideal_generated(A, gens, stop_at_full=stop)
+                assert I == dense_ideal_generated(A, gens, stop_at_full=stop)
+            for S in (I, random_subspace(rng, f, A.dim, density)):
+                assert exactalg.is_ideal(A, S) == dense_is_ideal(A, S)
 
 
 @pytest.mark.parametrize("f", FIELDS, ids=repr)
@@ -570,9 +563,11 @@ def induced_modules(name):
     every unit x of a catalog sheaf."""
     conv = build_conv_algebra(*get_fixture(name).build())
     for x in conv.groupoid.units:
-        R = exactalg.regular_module(isotropy_ring(conv, x))
+        B = isotropy_ring(conv, x)
+        phi = InductionMap.canonical(conv, x, B)
+        R = exactalg.regular_module(B)
         for M in [R] + exactalg.meataxe_simple_quotients(R):
-            yield induce(conv, x, M)
+            yield induce(phi, M)
 
 
 @pytest.mark.parametrize("name", ["P3-F3", "MIX", "DUAL-P2"])
